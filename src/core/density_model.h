@@ -120,9 +120,8 @@ class DensityModel {
   // heap blocks ping-pong forever, so a steady-state rebuild performs zero
   // per-point allocations. coord_scratch_ serves the robust-bandwidth IQR
   // the same way. mutable for the same reason as cached_: rebuilds happen
-  // inside const queries, and a DensityModel is single-owner state (the
-  // parallel engine runs handlers of distinct nodes, never one model from
-  // two threads — DESIGN.md §12).
+  // inside const queries, and a DensityModel is single-owner state, touched
+  // only by its node's handlers on the simulator's one thread.
   mutable FlatPoints rebuild_scratch_;
   mutable std::vector<double> coord_scratch_;
 };

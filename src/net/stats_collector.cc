@@ -20,9 +20,17 @@ const char* KindLabel(MessageKind kind) {
     case 4: return "raw_reading";
     case 5: return "query_request";
     case 6: return "query_response";
+    case 7: return "rejoin_announce";
+    case 8: return "rejoin_resync";
     case kMsgTransportAck: return "transport_ack";
     default: return nullptr;
   }
+}
+
+std::string CounterName(MessageKind kind) {
+  const char* label = KindLabel(kind);
+  return label != nullptr ? std::string("net.messages.") + label
+                          : "net.messages.kind_" + std::to_string(kind);
 }
 
 obs::Counter* KindCounter(MessageKind kind) {
@@ -34,11 +42,7 @@ obs::Counter* KindCounter(MessageKind kind) {
     auto& reg = obs::MetricsRegistry::Global();
     std::array<obs::Counter*, kCached> out{};
     for (MessageKind k = 0; k < kCached; ++k) {
-      const char* label = KindLabel(k);
-      const std::string name = label != nullptr
-                                   ? std::string("net.messages.") + label
-                                   : "net.messages.kind_" + std::to_string(k);
-      out[k] = reg.GetCounter(name);
+      out[k] = reg.GetCounter(CounterName(k));
     }
     return out;
   }();
@@ -48,7 +52,7 @@ obs::Counter* KindCounter(MessageKind kind) {
         obs::MetricsRegistry::Global().GetCounter("net.messages.transport_ack");
     return ack_counter;
   }
-  return registry.GetCounter("net.messages.kind_" + std::to_string(kind));
+  return registry.GetCounter(CounterName(kind));
 }
 
 struct NetMetrics {

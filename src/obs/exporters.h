@@ -28,8 +28,8 @@ namespace sensord::obs {
 /// Scalar results a bench run reports alongside the metrics snapshot.
 using BenchResults = std::vector<std::pair<std::string, double>>;
 
-/// Run-environment metadata recorded in the perf record (thread count,
-/// quick-mode flag, …) — string-valued, distinct from measured results.
+/// Run-environment metadata recorded in the perf record (quick-mode flag,
+/// …) — string-valued, distinct from measured results.
 using BenchMetadata = std::vector<std::pair<std::string, std::string>>;
 
 /// Prints every registered metric as an aligned table. Histograms show

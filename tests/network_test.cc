@@ -21,6 +21,20 @@ class ProbeNode : public Node {
   bool started = false;
 };
 
+// SimulatorOptions::threads survives only as a single-threaded shim: the
+// default and an explicit 1 both run the one serial loop, and a request for
+// more threads fails loudly instead of silently running serially.
+TEST(SimulatorTest, ThreadKnobResolution) {
+  SimulatorOptions opts;
+  opts.threads = 0;
+  EXPECT_EQ(Simulator(opts).threads(), 1);
+  opts.threads = 1;
+  EXPECT_EQ(Simulator(opts).threads(), 1);
+  opts.threads = 4;
+  EXPECT_DEATH(Simulator{opts},
+               "SENSORD_CHECK_LE\\(options.threads, 1\\) failed: 4 vs. 1");
+}
+
 TEST(SimulatorTest, AddNodeAssignsDenseIds) {
   Simulator sim;
   const NodeId a = sim.AddNode(std::make_unique<ProbeNode>());

@@ -1,7 +1,10 @@
 #include "net/stats_collector.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "obs/exporters.h"
 #include "obs/metrics.h"
 
 namespace sensord {
@@ -78,6 +81,28 @@ TEST(StatsCollectorTest, MirrorsIntoGlobalRegistry) {
   stats.Reset();
   EXPECT_EQ(stats.TotalMessages(), 0u);
   EXPECT_EQ(total->value(), total0 + 2);
+}
+
+// The crash-recovery rejoin kinds (7 = announce, 8 = resync) export under
+// names, like every other protocol kind, not as net.messages.kind_<n>.
+TEST(StatsCollectorTest, RejoinKindsExportNamedCounters) {
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter* announce = registry.GetCounter("net.messages.rejoin_announce");
+  obs::Counter* resync = registry.GetCounter("net.messages.rejoin_resync");
+  const uint64_t announce0 = announce->value();
+  const uint64_t resync0 = resync->value();
+
+  StatsCollector stats;
+  stats.RecordSend(MakeMessage(7, 2));
+  stats.RecordSend(MakeMessage(8, 3));
+  stats.RecordSend(MakeMessage(8, 3));
+  EXPECT_EQ(announce->value(), announce0 + 1);
+  EXPECT_EQ(resync->value(), resync0 + 2);
+  EXPECT_EQ(stats.MessagesOfKind(7), 1u);
+  EXPECT_EQ(stats.MessagesOfKind(8), 2u);
+  const std::string json = obs::MetricsToJson(registry);
+  EXPECT_EQ(json.find("net.messages.kind_7"), std::string::npos) << json;
+  EXPECT_EQ(json.find("net.messages.kind_8"), std::string::npos) << json;
 }
 
 TEST(StatsCollectorTest, ResetClearsEverything) {
