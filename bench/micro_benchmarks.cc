@@ -243,6 +243,9 @@ void BM_MdefEvaluation1d(benchmark::State& state) {
 }
 BENCHMARK(BM_MdefEvaluation1d)->Arg(128)->Arg(512);
 
+// One estimator for all iterations, so after the first the cell-mass grid
+// is memoised: this measures the per-reading lookup cost; BM_MdefCellGrid2d
+// measures the build it amortises.
 void BM_MdefEvaluation2d(benchmark::State& state) {
   auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
       RandomSample(static_cast<size_t>(state.range(0)), 2, 12),
@@ -256,6 +259,23 @@ void BM_MdefEvaluation2d(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MdefEvaluation2d)->Arg(128)->Arg(512);
+
+// The cell-mass grid build, on a fresh (unmemoised) copy of the estimator
+// each iteration; the copy is untimed.
+void BM_MdefCellGrid2d(benchmark::State& state) {
+  auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
+      RandomSample(static_cast<size_t>(state.range(0)), 2, 12),
+      {0.08, 0.08});
+  const double side = 2.0 * MdefConfig().counting_radius;
+  for (auto _ : state) {
+    state.PauseTiming();
+    KernelDensityEstimator fresh = *kde;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(fresh.CellMassGrid(side).mass.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MdefCellGrid2d)->Arg(128)->Arg(512);
 
 void BM_JsDivergenceOnGrid(benchmark::State& state) {
   auto a = KernelDensityEstimator::CreateWithScottBandwidths(

@@ -1,5 +1,6 @@
 #include "core/mdef.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -127,87 +128,66 @@ MdefResult ComputeMdef(const KernelDensityEstimator& kde, const Point& p,
 
   const double side = 2.0 * config.counting_radius;
   const double r = config.sampling_radius;
-  const size_t cells_per_dim = static_cast<size_t>(std::ceil(1.0 / side));
-
-  // Per-dimension list of cell intervals whose centres are within r of p —
-  // the same selection rule as the generic CellScan, which factors over
-  // dimensions for the L-infinity ball.
-  std::vector<std::vector<double>> cell_lo(d);
-  for (size_t dim = 0; dim < d; ++dim) {
-    const long first = static_cast<long>(std::floor((p[dim] - r) / side));
-    const long last = static_cast<long>(std::floor((p[dim] + r) / side));
-    for (long j = std::max(0L, first);
-         j <= last && j < static_cast<long>(cells_per_dim); ++j) {
-      const double a = static_cast<double>(j) * side;
-      if (std::fabs(a + 0.5 * side - p[dim]) > r) continue;
-      cell_lo[dim].push_back(a);
-    }
-  }
+  const long n = static_cast<long>(std::ceil(1.0 / side));
+  // Per-dimension index range of the cells whose centres are within r of p
+  // — the same selection rule as the generic CellScan, which factors over
+  // dimensions for the L-infinity ball. The selected cells are contiguous.
+  std::vector<size_t> first(d), count(d);
   size_t total_cells = 1;
-  for (size_t dim = 0; dim < d; ++dim) total_cells *= cell_lo[dim].size();
+  for (size_t dim = 0; dim < d; ++dim) {
+    long lo = std::max(0L, static_cast<long>(std::floor((p[dim] - r) / side)));
+    long hi = std::min(n - 1,
+                       static_cast<long>(std::floor((p[dim] + r) / side)));
+    auto centre_out = [&](long j) {
+      return std::fabs(static_cast<double>(j) * side + 0.5 * side - p[dim]) >
+             r;
+    };
+    while (lo <= hi && centre_out(lo)) ++lo;
+    while (hi >= lo && centre_out(hi)) --hi;
+    first[dim] = static_cast<size_t>(lo);
+    count[dim] = hi >= lo ? static_cast<size_t>(hi - lo + 1) : 0;
+    total_cells *= count[dim];
+  }
+  const double counting_mass = kde.BallProbability(p, config.counting_radius);
   if (total_cells == 0) {
-    return MdefFromMasses(
-        kde.BallProbability(p, config.counting_radius), 0.0, 0.0, 0.0, 0,
-        config);
+    return MdefFromMasses(counting_mass, 0.0, 0.0, 0.0, 0, config);
   }
 
-  const std::vector<double> bandwidths = kde.bandwidths();
-  std::vector<EpanechnikovKernel> kernels;
-  kernels.reserve(d);
-  for (double b : bandwidths) kernels.emplace_back(b);
-  std::vector<double> cell_mass(total_cells, 0.0);
-  std::vector<std::vector<double>> per_dim(d);
-
-  // Restrict the sweep to the canonical rows whose kernel support can reach
-  // the scanned cells on the KDE's primary axis; the rows skipped are
-  // exactly ones the per-dimension reject below would discard, so cell_mass
-  // accumulates bit-identically to a full sample sweep.
-  const size_t axis = kde.primary_axis();
-  const auto [row_begin, row_end] = kde.CandidateRows(
-      cell_lo[axis].front(), cell_lo[axis].back() + side);
-  const FlatPoints& sample = kde.sample();
-  for (size_t row = row_begin; row < row_end; ++row) {
-    const double* t = sample.Row(row);
-    // Cheap reject: kernel support vs the bounding box of the listed cells.
-    bool overlaps = true;
-    for (size_t dim = 0; dim < d && overlaps; ++dim) {
-      const double lo = cell_lo[dim].front();
-      const double hi = cell_lo[dim].back() + side;
-      overlaps = t[dim] + bandwidths[dim] > lo &&
-                 t[dim] - bandwidths[dim] < hi;
-    }
-    if (!overlaps) continue;
-
-    for (size_t dim = 0; dim < d; ++dim) {
-      auto& masses = per_dim[dim];
-      masses.assign(cell_lo[dim].size(), 0.0);
-      for (size_t j = 0; j < cell_lo[dim].size(); ++j) {
-        masses[j] = kernels[dim].MassInInterval(t[dim], cell_lo[dim][j],
-                                                cell_lo[dim][j] + side);
-      }
-    }
-    // Outer product accumulation (row-major over dimensions).
-    for (size_t c = 0; c < total_cells; ++c) {
-      double m = 1.0;
-      size_t rest = c;
-      for (size_t dim = d; dim-- > 0 && m > 0.0;) {
-        m *= per_dim[dim][rest % cell_lo[dim].size()];
-        rest /= cell_lo[dim].size();
-      }
-      cell_mass[c] += m;
-    }
+  // The cell masses depend only on the model: read them from the memoised
+  // whole-cube grid when it is small enough, else fill a block over just
+  // this neighbourhood. Both hold the same bits for a cell.
+  KernelDensityEstimator::CellGrid block;
+  const KernelDensityEstimator::CellGrid* grid = &block;
+  if (kde.HasCellGrid(side)) {
+    grid = &kde.CellMassGrid(side);
+  } else {
+    kde.CellMassBlock(side, first, count, &block);
   }
 
+  // Moments accumulate in the generic scan's order: row-major over the
+  // neighbourhood, the last dimension fastest, one contiguous run at a time.
   const double inv_n = 1.0 / static_cast<double>(kde.sample_size());
+  const size_t run = count[d - 1];
+  std::vector<size_t> odometer(d, 0);
   double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
-  for (double m : cell_mass) {
-    const double s = m * inv_n;
-    sum1 += s;
-    sum2 += s * s;
-    sum3 += s * s * s;
+  for (size_t c = 0; c < total_cells; c += run) {
+    size_t cell = 0;
+    for (size_t dim = 0; dim < d; ++dim) {
+      cell = cell * grid->count[dim] + (first[dim] - grid->first[dim]) +
+             odometer[dim];
+    }
+    for (size_t k = 0; k < run; ++k) {
+      const double s = grid->mass[cell + k] * inv_n;
+      sum1 += s;
+      sum2 += s * s;
+      sum3 += s * s * s;
+    }
+    for (size_t dim = d - 1; dim-- > 0;) {
+      if (++odometer[dim] < count[dim]) break;
+      odometer[dim] = 0;
+    }
   }
-  return MdefFromMasses(kde.BallProbability(p, config.counting_radius), sum1,
-                        sum2, sum3, total_cells, config);
+  return MdefFromMasses(counting_mass, sum1, sum2, sum3, total_cells, config);
 }
 
 bool IsMdefOutlier(const DistributionEstimator& model, const Point& p,

@@ -54,11 +54,21 @@ MdefResult MdefFromMasses(double counting_mass, double sum1, double sum2,
 MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
                        const MdefConfig& config);
 
-/// Fast path for kernel estimators: exploits the product-kernel structure —
-/// each kernel's mass over a grid cell factors into per-dimension interval
-/// masses, so the whole cell grid costs O(|R| * (sum_d cells_d + prod_d
-/// cells_d)) instead of O(|R| * d * prod_d cells_d) box queries. Identical
-/// statistics to the generic overload up to floating-point association.
+/// Fast path for kernel estimators in d > 1: the cell masses depend only on
+/// the model, so when the whole-cube grid of side 2*alpha*r has at most
+/// KernelDensityEstimator::kMaxGridCells cells (2-d down to side 1/256)
+/// they come from the estimator's memoised grid (CellMassGrid), built once
+/// per estimator in O(|R| * prod_d (2 B_d / side + 1)), and each evaluation
+/// costs one ball query plus one lookup per neighbourhood cell, at most
+/// (r / (alpha r) + 1)^d. Otherwise (3-d at the default side, any d >= 4)
+/// each evaluation fills a block over just its neighbourhood cells
+/// (CellMassBlock), O(|R'| * prod_d (2 B_d / side + 1)). Either way the
+/// statistics are bit-identical to a per-evaluation sweep of the sample
+/// over the neighbourhood cells (per-dimension interval masses multiplied
+/// from the last dimension down, summed in canonical row order) and equal
+/// to the generic overload's up to floating-point association. No limit on
+/// d or side beyond the generic overload's. In 1-d it is the generic
+/// overload.
 MdefResult ComputeMdef(const class KernelDensityEstimator& kde,
                        const Point& p, const MdefConfig& config);
 

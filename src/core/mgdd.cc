@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "stats/divergence.h"
+#include "util/flat_points.h"
 
 #include "util/check.h"
 
@@ -313,10 +314,16 @@ bool MgddLeafNode::degraded() const {
 const KernelDensityEstimator& MgddLeafNode::GlobalEstimator() const {
   SENSORD_CHECK(HasGlobalModel());
   if (!cached_global_.has_value() || cached_version_ != replica_version_) {
-    std::vector<Point> sample;
-    sample.reserve(global_sample_.size());
+    // Valid slots straight into one flat buffer, in slot order; Create()
+    // canonicalizes it, so the estimator is the one the Point overload
+    // built, without a Point copy per slot.
+    const size_t d = global_stddevs_.size();
+    FlatPoints sample(d);
+    sample.Reserve(global_sample_.size());
     for (size_t i = 0; i < global_sample_.size(); ++i) {
-      if (slot_valid_[i]) sample.push_back(global_sample_[i]);
+      if (!slot_valid_[i]) continue;
+      SENSORD_CHECK_EQ(global_sample_[i].size(), d);
+      sample.Append(global_sample_[i]);
     }
     auto built = KernelDensityEstimator::CreateWithScottBandwidths(
         std::move(sample), global_stddevs_);

@@ -1,6 +1,7 @@
 #include "stats/kde.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "core/snapshot.h"
@@ -18,11 +19,14 @@ namespace {
 // box (batched or not), the primary-axis candidate count |R'|;
 // batch_swept_terms counts the rows a batched sweep actually loads (the
 // union candidate range), which is what the batching saves on top of
-// per-box pruning.
+// per-box pruning. cell_grid_builds counts memoised CellMassGrid builds
+// (not the per-evaluation CellMassBlock fills), so builds per MDEF
+// evaluation can be read off a metrics dump.
 struct KdeMetrics {
   obs::Counter* box_queries;
   obs::Histogram* terms_per_query;
   obs::Counter* batch_swept_terms;
+  obs::Counter* cell_grid_builds;
 };
 
 const KdeMetrics& Metrics() {
@@ -31,7 +35,8 @@ const KdeMetrics& Metrics() {
       registry.GetCounter("stats.kde.box_queries"),
       registry.GetHistogram("stats.kde.terms_per_query",
                             obs::SizeBoundaries()),
-      registry.GetCounter("stats.kde.batch_swept_terms")};
+      registry.GetCounter("stats.kde.batch_swept_terms"),
+      registry.GetCounter("stats.kde.cell_grid_builds")};
   return m;
 }
 
@@ -356,6 +361,144 @@ double KernelDensityEstimator::Pdf(const Point& p) const {
     total += contrib;
   }
   return total / static_cast<double>(sample_size_);
+}
+
+bool KernelDensityEstimator::HasCellGrid(double side) const {
+  if (dimensions() < 2 || !(side > 0.0)) return false;
+  const double n = std::ceil(1.0 / side);
+  double total = 1.0;
+  for (size_t i = 0; i < dimensions(); ++i) total *= n;
+  return total <= static_cast<double>(kMaxGridCells);
+}
+
+const KernelDensityEstimator::CellGrid& KernelDensityEstimator::CellMassGrid(
+    double side) const {
+  if (!cell_grid_.mass.empty() && cell_grid_.side == side) return cell_grid_;
+  SENSORD_CHECK(HasCellGrid(side));
+  Metrics().cell_grid_builds->Increment();
+  cell_grid_.side = side;
+  cell_grid_.first.assign(dimensions(), 0);
+  cell_grid_.count.assign(dimensions(),
+                          static_cast<size_t>(std::ceil(1.0 / side)));
+  FillCellMasses(&cell_grid_);
+  return cell_grid_;
+}
+
+void KernelDensityEstimator::CellMassBlock(double side,
+                                           const std::vector<size_t>& first,
+                                           const std::vector<size_t>& count,
+                                           CellGrid* out) const {
+  const size_t d = dimensions();
+  SENSORD_CHECK_GE(d, 2u);
+  SENSORD_CHECK_GT(side, 0.0);
+  SENSORD_CHECK_EQ(first.size(), d);
+  SENSORD_CHECK_EQ(count.size(), d);
+  for (size_t c : count) SENSORD_CHECK_GT(c, 0u);
+  out->side = side;
+  out->first = first;
+  out->count = count;
+  FillCellMasses(out);
+}
+
+void KernelDensityEstimator::FillCellMasses(CellGrid* grid) const {
+  const size_t d = dimensions();
+  const double side = grid->side;
+  const std::vector<size_t>& first = grid->first;
+  const std::vector<size_t>& count = grid->count;
+  size_t total = 1;
+  size_t widest = 0;
+  for (size_t i = 0; i < d; ++i) {
+    total *= count[i];
+    widest = std::max(widest, count[i]);
+  }
+  grid->mass.assign(total, 0.0);
+
+  // Scratch, sized once so the row loop allocates nothing: each dimension's
+  // support range within the block, as [lo, lo + len) relative to first,
+  // and its factors; and the products of dimensions 1..d-1 over their
+  // ranges (last dimension fastest).
+  std::vector<size_t> lo(d), len(d), odometer(d);
+  std::vector<double> factors(d * widest);
+  std::vector<double> suffix(total / count[0]), next(total / count[0]);
+
+  const size_t axis = primary_axis_;
+  const auto [row_begin, row_end] = CandidateRows(
+      static_cast<double>(first[axis]) * side,
+      static_cast<double>(first[axis] + count[axis] - 1) * side + side);
+  for (size_t row = row_begin; row < row_end; ++row) {
+    const double* t = sample_.Row(row);
+    bool empty = false;
+    for (size_t i = 0; i < d; ++i) {
+      // One cell of slack either side of the support keeps the range
+      // conservative under rounding; factors that come out 0.0 are trimmed.
+      const double b = kernels_[i].bandwidth();
+      const double from =
+          std::max(static_cast<double>(first[i]),
+                   std::floor((t[i] - b) / side) - 1.0);
+      const double to =
+          std::min(static_cast<double>(first[i] + count[i] - 1),
+                   std::floor((t[i] + b) / side) + 1.0);
+      if (!(from <= to)) {  // the support misses the block
+        empty = true;
+        break;
+      }
+      const size_t j = static_cast<size_t>(from);
+      size_t end = static_cast<size_t>(to) + 1;
+      double* f = &factors[i * widest];
+      for (size_t k = j; k < end; ++k) {
+        const double a = static_cast<double>(k) * side;
+        f[k - j] = kernels_[i].MassInInterval(t[i], a, a + side);
+      }
+      size_t skip = 0;
+      while (j + skip < end && f[skip] == 0.0) ++skip;
+      while (end > j + skip && f[end - 1 - j] == 0.0) --end;
+      if (skip > 0) std::copy(f + skip, f + (end - j), f);
+      lo[i] = j + skip - first[i];
+      len[i] = end - (j + skip);
+      if (len[i] == 0) {
+        empty = true;
+        break;
+      }
+    }
+    if (empty) continue;
+
+    // The products of dimensions d-1 down to 1, associated in that order
+    // (the order the MDEF sweep multiplied them in). Factors are finite and
+    // non-negative, so multiplying on past a zero, where the sweep stopped
+    // early, still yields exactly 0.0.
+    size_t span = len[d - 1];
+    std::copy_n(&factors[(d - 1) * widest], span, suffix.begin());
+    for (size_t i = d - 1; i-- > 1;) {
+      const double* f = &factors[i * widest];
+      for (size_t k = 0; k < len[i]; ++k) {
+        for (size_t s = 0; s < span; ++s) {
+          next[k * span + s] = suffix[s] * f[k];
+        }
+      }
+      span *= len[i];
+      suffix.swap(next);
+    }
+
+    // Scatter suffix * factor_0 into the block, one contiguous run of the
+    // last dimension at a time.
+    const size_t run = len[d - 1];
+    for (size_t k0 = 0; k0 < len[0]; ++k0) {
+      const double f0 = factors[k0];
+      std::fill(odometer.begin(), odometer.end(), 0);
+      for (size_t s = 0; s < span; s += run) {
+        size_t cell = lo[0] + k0;
+        for (size_t i = 1; i < d; ++i) {
+          cell = cell * count[i] + lo[i] + odometer[i];
+        }
+        double* out = &grid->mass[cell];
+        for (size_t k = 0; k < run; ++k) out[k] += suffix[s + k] * f0;
+        for (size_t i = d - 1; i-- > 1;) {
+          if (++odometer[i] < len[i]) break;
+          odometer[i] = 0;
+        }
+      }
+    }
+  }
 }
 
 void KernelDensityEstimator::Serialize(SnapshotWriter* writer) const {

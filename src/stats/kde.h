@@ -23,8 +23,11 @@
 //
 // The estimator is an immutable snapshot: the online system (core::
 // DensityModel) rebuilds it cheaply from the current chain sample whenever
-// it needs to answer queries, which keeps this class trivially thread-safe
-// and exactly reproducible. The flat-buffer Create() overload plus
+// it needs to answer queries, which keeps it exactly reproducible. The one
+// piece of state it gains after construction is the memoised MDEF cell-mass
+// grid (CellMassGrid), filled on first request without synchronisation: a
+// const estimator may be shared by readers on one thread only, as in the
+// single-threaded simulator. The flat-buffer Create() overload plus
 // ReleaseSampleStorage() let the rebuild path recycle one warm buffer and
 // perform zero per-point heap allocations.
 
@@ -122,6 +125,44 @@ class KernelDensityEstimator : public DistributionEstimator {
   std::pair<size_t, size_t> CandidateRows(double axis_lo,
                                           double axis_hi) const;
 
+  /// Unnormalised kernel mass of a block of cells of the grid of side
+  /// `side` over the unit cube, the cells the MDEF test (core/mdef.h) scans.
+  /// Cell j covers [j * side, j * side + side) on each axis.
+  struct CellGrid {
+    double side = 0.0;
+    std::vector<size_t> first;  ///< per dimension, the block's first cell
+    std::vector<size_t> count;  ///< per dimension, the block's cell count
+    /// Row-major over the block, the last dimension fastest: the entry of
+    /// cell (j_0, ..., j_{d-1}) is the sum over the sample, in canonical
+    /// order, of prod_i MassInInterval_i(t_i, j_i * side, j_i * side +
+    /// side), each product taken from the last dimension down. Divide by
+    /// sample_size() for probability mass.
+    std::vector<double> mass;
+  };
+
+  /// Largest whole-cube grid CellMassGrid() builds: 2^16 cells, 512 KB.
+  /// That covers the 2-d MDEF configs down to side 1/256, while a 3-d grid
+  /// at the default side (50^3 cells) or anything in d >= 4 would cost more
+  /// memory per estimator than the neighbourhood blocks it replaces.
+  static constexpr size_t kMaxGridCells = size_t{1} << 16;
+
+  /// True iff d > 1 and ceil(1/side)^d <= kMaxGridCells, i.e. iff
+  /// CellMassGrid(side) may be called.
+  bool HasCellGrid(double side) const;
+
+  /// The block over the whole cube [0, ceil(1/side))^d, built on first
+  /// request and memoised (one grid, keyed by side; asking for another side
+  /// rebuilds). Pre: HasCellGrid(side), checked. Not thread-safe (see the
+  /// file comment).
+  const CellGrid& CellMassGrid(double side) const;
+
+  /// Fills `out` with the block of cells [first_i, first_i + count_i) on
+  /// each axis, not memoised: what the MDEF test uses per evaluation when
+  /// the whole-cube grid is too large. Pre: d > 1, side > 0, first.size()
+  /// == count.size() == d, every count_i > 0, all checked.
+  void CellMassBlock(double side, const std::vector<size_t>& first,
+                     const std::vector<size_t>& count, CellGrid* out) const;
+
   /// Steals the flat sample storage so a rebuild path can recycle the heap
   /// buffer (core::DensityModel's scratch ping-pong). The estimator is left
   /// empty and must not be queried afterwards.
@@ -158,11 +199,20 @@ class KernelDensityEstimator : public DistributionEstimator {
   // 1-d fast path for BoxProbability.
   double Interval1dProbability(double lo, double hi) const;
 
+  // Fills grid->mass for the block grid->side/first/count describe. Each
+  // candidate row touches only the block cells inside its kernel's support,
+  // O(prod_i (2 B_i / side + 1)) products; a cell outside a kernel's
+  // support gets an exact 0.0 from it, so every entry is bit-identical to a
+  // sweep of all rows over that cell. Allocates scratch once per call,
+  // nothing per row.
+  void FillCellMasses(CellGrid* grid) const;
+
   FlatPoints sample_;  // canonical order; in 1-d its data() is the sorted
                        // coordinate array the fast path binary-searches
   std::vector<EpanechnikovKernel> kernels_;
   size_t sample_size_;
   size_t primary_axis_ = 0;
+  mutable CellGrid cell_grid_;  // memo for CellMassGrid; empty = unbuilt
 };
 
 }  // namespace sensord

@@ -1,6 +1,7 @@
 // Golden end-to-end regression: one fixed seeded D3 + MGDD scenario with
-// loss, faults, and the reliable transport, whose complete detection
-// history and traffic counters are committed at tests/golden/e2e_outliers.txt.
+// loss, faults, and the reliable transport, run over 1-d and 2-d readings,
+// whose complete detection history and traffic counters are committed at
+// tests/golden/e2e_outliers.txt.
 // Any change to detector logic, transport behaviour, fault scheduling, RNG
 // consumption, or event ordering shows up as a diff here — intentional
 // changes regenerate via scripts/regen_golden.sh (or SENSORD_REGEN_GOLDEN=1).
@@ -73,7 +74,12 @@ void AppendCounters(const char* tag, const Simulator& sim, std::string* out) {
 // The scenario: 8 leaves / fanout 2 (three levels), 400 rounds of a tight
 // Gaussian band with injected extremes, 10% uniform loss + a flaky default
 // link fault, one leaf crash, one subtree partition, reliable transport.
-std::string RunScenario() {
+// It runs once over 1-d readings and once over 2-d readings; the 2-d pass
+// covers the d > 1 KDE and MDEF paths (product kernels, cell grid), which
+// the 1-d pass never reaches. Each coordinate is one draw, so a 1-d point
+// consumes exactly the draws of a scalar reading.
+void AppendScenario(size_t dims, const std::string& tag_suffix,
+                    std::string* out) {
   const int kRounds = 400;
   const int kLeaves = 8;
 
@@ -83,33 +89,36 @@ std::string RunScenario() {
   // local-density outliers).
   Rng d3_rng(20260806);
   std::vector<std::vector<Point>> d3_readings(
-      kRounds, std::vector<Point>(kLeaves));
+      kRounds, std::vector<Point>(kLeaves, Point(dims)));
   for (int round = 0; round < kRounds; ++round) {
     for (int leaf = 0; leaf < kLeaves; ++leaf) {
-      d3_readings[round][leaf] = {Clamp(d3_rng.Gaussian(0.4, 0.01), 0.0, 1.0)};
+      for (double& x : d3_readings[round][leaf]) {
+        x = Clamp(d3_rng.Gaussian(0.4, 0.01), 0.0, 1.0);
+      }
     }
     if (round % 7 == 0) {
-      d3_readings[round][(round / 7) % kLeaves] = {
-          d3_rng.UniformDouble(0.6, 1.0)};
+      for (double& x : d3_readings[round][(round / 7) % kLeaves]) {
+        x = d3_rng.UniformDouble(0.6, 1.0);
+      }
     }
   }
   Rng mgdd_rng(20060915);
   std::vector<std::vector<Point>> mgdd_readings(
-      kRounds, std::vector<Point>(kLeaves));
+      kRounds, std::vector<Point>(kLeaves, Point(dims)));
   for (int round = 0; round < kRounds; ++round) {
     for (int leaf = 0; leaf < kLeaves; ++leaf) {
-      mgdd_readings[round][leaf] = {mgdd_rng.Bernoulli(0.5)
-                                        ? mgdd_rng.UniformDouble(0.30, 0.42)
-                                        : mgdd_rng.UniformDouble(0.50, 0.62)};
+      const bool low_band = mgdd_rng.Bernoulli(0.5);
+      for (double& x : mgdd_readings[round][leaf]) {
+        x = low_band ? mgdd_rng.UniformDouble(0.30, 0.42)
+                     : mgdd_rng.UniformDouble(0.50, 0.62);
+      }
     }
     if (round % 7 == 0) {
-      mgdd_readings[round][(round / 7) % kLeaves] = {
-          mgdd_rng.UniformDouble(0.44, 0.48)};
+      for (double& x : mgdd_readings[round][(round / 7) % kLeaves]) {
+        x = mgdd_rng.UniformDouble(0.44, 0.48);
+      }
     }
   }
-
-  std::string out = "# sensord golden e2e history; regenerate with "
-                    "scripts/regen_golden.sh\n";
 
   for (const bool run_d3 : {true, false}) {
     SimulatorOptions sim_opts;
@@ -133,6 +142,7 @@ std::string RunScenario() {
     std::vector<NodeId> ids;
     if (run_d3) {
       D3Options leaf_opts;
+      leaf_opts.model.dimensions = dims;
       leaf_opts.model.window_size = 500;
       leaf_opts.model.sample_size = 100;
       leaf_opts.outlier.radius = 0.02;
@@ -155,6 +165,7 @@ std::string RunScenario() {
           });
     } else {
       MgddOptions leaf_opts;
+      leaf_opts.model.dimensions = dims;
       leaf_opts.model.window_size = 400;
       leaf_opts.model.sample_size = 64;
       leaf_opts.min_observations = 200;
@@ -187,10 +198,17 @@ std::string RunScenario() {
     }
     sim.RunAll();
 
-    const char* tag = run_d3 ? "d3" : "mgdd";
-    AppendEvents(tag, observer.events, &out);
-    AppendCounters(run_d3 ? "d3.counters" : "mgdd.counters", sim, &out);
+    const std::string tag = (run_d3 ? "d3" : "mgdd") + tag_suffix;
+    AppendEvents(tag.c_str(), observer.events, out);
+    AppendCounters((tag + ".counters").c_str(), sim, out);
   }
+}
+
+std::string RunScenario() {
+  std::string out = "# sensord golden e2e history; regenerate with "
+                    "scripts/regen_golden.sh\n";
+  AppendScenario(1, "", &out);
+  AppendScenario(2, "_2d", &out);
   return out;
 }
 

@@ -1,7 +1,12 @@
 #include "core/mdef.h"
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "stats/empirical.h"
 #include "stats/kde.h"
 #include "util/rng.h"
@@ -173,6 +178,222 @@ TEST(MdefTest, DomainEdgeClampsCells) {
   // Near the boundary only ~half the cells exist.
   EXPECT_LT(r.cells_considered, 7u);
   EXPECT_GT(r.cells_considered, 0u);
+}
+
+// Reference for the KDE overload: the MDEF statistics from a direct sweep of
+// the sample for one evaluation. Each canonical row whose kernel support
+// meets the neighbourhood adds, to every neighbourhood cell, the product of
+// its per-dimension interval masses taken from the last dimension down and
+// stopped at the first non-positive partial product.
+MdefResult ReferenceSweepMdef(const KernelDensityEstimator& kde,
+                              const Point& p, const MdefConfig& config) {
+  const size_t d = kde.dimensions();
+  const double side = 2.0 * config.counting_radius;
+  const double r = config.sampling_radius;
+  const long cells_per_dim = static_cast<long>(std::ceil(1.0 / side));
+  std::vector<std::vector<double>> cell_lo(d);
+  for (size_t dim = 0; dim < d; ++dim) {
+    const long first = static_cast<long>(std::floor((p[dim] - r) / side));
+    const long last = static_cast<long>(std::floor((p[dim] + r) / side));
+    for (long j = std::max(0L, first); j <= last && j < cells_per_dim; ++j) {
+      const double a = static_cast<double>(j) * side;
+      if (std::fabs(a + 0.5 * side - p[dim]) > r) continue;
+      cell_lo[dim].push_back(a);
+    }
+  }
+  size_t total_cells = 1;
+  for (size_t dim = 0; dim < d; ++dim) total_cells *= cell_lo[dim].size();
+  const double counting_mass = kde.BallProbability(p, config.counting_radius);
+  if (total_cells == 0) {
+    return MdefFromMasses(counting_mass, 0.0, 0.0, 0.0, 0, config);
+  }
+
+  const std::vector<double> bandwidths = kde.bandwidths();
+  std::vector<EpanechnikovKernel> kernels;
+  for (double b : bandwidths) kernels.emplace_back(b);
+  std::vector<double> cell_mass(total_cells, 0.0);
+  std::vector<std::vector<double>> per_dim(d);
+  const FlatPoints& sample = kde.sample();
+  for (size_t row = 0; row < sample.size(); ++row) {
+    const double* t = sample.Row(row);
+    bool overlaps = true;
+    for (size_t dim = 0; dim < d && overlaps; ++dim) {
+      overlaps = t[dim] + bandwidths[dim] > cell_lo[dim].front() &&
+                 t[dim] - bandwidths[dim] < cell_lo[dim].back() + side;
+    }
+    if (!overlaps) continue;
+    for (size_t dim = 0; dim < d; ++dim) {
+      per_dim[dim].clear();
+      for (double a : cell_lo[dim]) {
+        per_dim[dim].push_back(
+            kernels[dim].MassInInterval(t[dim], a, a + side));
+      }
+    }
+    for (size_t c = 0; c < total_cells; ++c) {
+      double m = 1.0;
+      size_t rest = c;
+      for (size_t dim = d; dim-- > 0 && m > 0.0;) {
+        m *= per_dim[dim][rest % cell_lo[dim].size()];
+        rest /= cell_lo[dim].size();
+      }
+      cell_mass[c] += m;
+    }
+  }
+  const double inv_n = 1.0 / static_cast<double>(kde.sample_size());
+  double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+  for (double m : cell_mass) {
+    const double s = m * inv_n;
+    sum1 += s;
+    sum2 += s * s;
+    sum3 += s * s * s;
+  }
+  return MdefFromMasses(counting_mass, sum1, sum2, sum3, total_cells, config);
+}
+
+void ExpectBitwiseEqual(const MdefResult& got, const MdefResult& want) {
+  EXPECT_EQ(got.counting_mass, want.counting_mass);
+  EXPECT_EQ(got.avg_mass, want.avg_mass);
+  EXPECT_EQ(got.sigma_mass, want.sigma_mass);
+  EXPECT_EQ(got.mdef, want.mdef);
+  EXPECT_EQ(got.is_outlier, want.is_outlier);
+  EXPECT_EQ(got.cells_considered, want.cells_considered);
+}
+
+// The cell masses must reproduce the direct sweep bit for bit: random 2-d
+// and 3-d samples with points outside [0,1], tied rows, narrow and wide
+// (wider than the sampling radius) bandwidths, queries at the domain edges,
+// and two configs alternating on one estimator (the grid's memo key). Both
+// configs read the memoised grid in 2-d; in 3-d the coarse one (20^3 cells)
+// reads it and the default-side one (50^3 cells) fills neighbourhood
+// blocks.
+TEST(MdefTest, KdeCellGridMatchesReferenceSweepBitwise) {
+  MdefConfig narrow = DefaultConfig();
+  narrow.k_sigma = 1.0;
+  MdefConfig coarse;
+  coarse.sampling_radius = 0.15;
+  coarse.counting_radius = 0.025;  // side 0.05: 20 cells per dimension
+  coarse.k_sigma = 0.5;
+  Rng rng(11);
+  for (const size_t d : {2u, 3u}) {
+    for (const double bandwidth : {0.03, 0.2}) {
+      std::vector<Point> sample;
+      for (int i = 0; i < 240; ++i) {
+        Point t(d);
+        for (double& x : t) x = rng.Gaussian(0.35 + 0.3 * (i % 2), 0.12);
+        sample.push_back(t);
+        if (i % 40 == 0) sample.push_back(t);  // a tied row
+      }
+      sample.push_back(Point(d, -0.04));
+      sample.push_back(Point(d, 1.07));
+      auto kde = KernelDensityEstimator::Create(
+          sample, std::vector<double>(d, bandwidth));
+      ASSERT_TRUE(kde.ok());
+      EXPECT_TRUE(kde->HasCellGrid(2.0 * coarse.counting_radius));
+      EXPECT_EQ(kde->HasCellGrid(2.0 * narrow.counting_radius), d == 2);
+
+      std::vector<Point> queries{Point(d, 0.0), Point(d, 1.0),
+                                 Point(d, 0.003), Point(d, 0.997)};
+      Point corner(d, 0.5);
+      corner[0] = 0.0;
+      corner[d - 1] = 0.999;
+      queries.push_back(corner);
+      for (int i = 0; i < 30; ++i) {
+        Point q(d);
+        for (double& x : q) x = rng.UniformDouble(0.0, 1.0);
+        queries.push_back(q);
+      }
+      size_t flagged = 0;
+      for (const Point& q : queries) {
+        for (const MdefConfig* cfg : {&narrow, &coarse}) {
+          SCOPED_TRACE(testing::Message() << "d=" << d << " B=" << bandwidth
+                                          << " r=" << cfg->sampling_radius
+                                          << " q0=" << q[0]);
+          const MdefResult got = ComputeMdef(*kde, q, *cfg);
+          ExpectBitwiseEqual(got, ReferenceSweepMdef(*kde, q, *cfg));
+          flagged += got.is_outlier;
+        }
+      }
+      EXPECT_GT(flagged, 0u) << "no flagged query: the is_outlier check is "
+                                "vacuous for d=" << d;
+    }
+  }
+}
+
+// One grid per estimator and side: N evaluations build it once, a new side
+// rebuilds it, and the 1-d path never builds one.
+TEST(MdefTest, KdeCellGridBuiltOncePerSide) {
+  obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+      "stats.kde.cell_grid_builds");
+  Rng rng(12);
+  std::vector<Point> sample;
+  for (int i = 0; i < 200; ++i) {
+    sample.push_back(
+        {rng.UniformDouble(0.2, 0.6), rng.UniformDouble(0.3, 0.7)});
+  }
+  auto kde = KernelDensityEstimator::Create(sample, {0.05, 0.05});
+  ASSERT_TRUE(kde.ok());
+  const MdefConfig cfg = DefaultConfig();
+  MdefConfig other = cfg;
+  other.counting_radius = 0.02;
+
+  uint64_t before = builds->value();
+  for (int i = 0; i < 25; ++i) {
+    ComputeMdef(*kde, {rng.UniformDouble(0.0, 1.0), 0.5}, cfg);
+  }
+  EXPECT_EQ(builds->value() - before, 1u);
+
+  before = builds->value();
+  for (int i = 0; i < 5; ++i) ComputeMdef(*kde, {0.4, 0.5}, other);
+  EXPECT_EQ(builds->value() - before, 1u);
+  EXPECT_EQ(kde->CellMassGrid(0.04).count, (std::vector<size_t>{25, 25}));
+
+  before = builds->value();
+  ComputeMdef(*kde, {0.4, 0.5}, cfg);
+  EXPECT_EQ(builds->value() - before, 1u);
+
+  auto kde1d = KernelDensityEstimator::Create({{0.3}, {0.4}, {0.5}}, {0.05});
+  ASSERT_TRUE(kde1d.ok());
+  before = builds->value();
+  ComputeMdef(*kde1d, {0.4}, cfg);
+  EXPECT_EQ(builds->value(), before);
+}
+
+// Where the whole-cube grid would be too large (3-d at a fine side, 4-d and
+// 5-d at the default config: 334^3, 50^4 and 50^5 cells) each evaluation
+// fills a block over its own neighbourhood instead, builds no grid, and
+// still matches the direct sweep bit for bit.
+TEST(MdefTest, KdeLargeGridsFallBackToNeighbourhoodBlocks) {
+  obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+      "stats.kde.cell_grid_builds");
+  MdefConfig fine = DefaultConfig();
+  fine.counting_radius = 0.0015;  // side 0.003
+  Rng rng(13);
+  for (const size_t d : {3u, 4u, 5u}) {
+    const MdefConfig cfg = d == 3 ? fine : DefaultConfig();
+    std::vector<Point> sample;
+    for (int i = 0; i < 60; ++i) {
+      Point t(d);
+      for (double& x : t) x = rng.Gaussian(0.5, 0.05);
+      sample.push_back(t);
+    }
+    auto kde = KernelDensityEstimator::Create(
+        sample, std::vector<double>(d, 0.04));
+    ASSERT_TRUE(kde.ok());
+    EXPECT_FALSE(kde->HasCellGrid(2.0 * cfg.counting_radius));
+
+    const uint64_t before = builds->value();
+    std::vector<Point> queries{Point(d, 0.5), Point(d, 0.0), sample[7]};
+    Point off(d, 0.5);
+    off[d - 1] = 0.58;
+    queries.push_back(off);
+    for (const Point& q : queries) {
+      SCOPED_TRACE(testing::Message() << "d=" << d << " q0=" << q[0]);
+      const MdefResult got = ComputeMdef(*kde, q, cfg);
+      ExpectBitwiseEqual(got, ReferenceSweepMdef(*kde, q, cfg));
+    }
+    EXPECT_GT(ComputeMdef(*kde, Point(d, 0.5), cfg).avg_mass, 0.0);
+    EXPECT_EQ(builds->value(), before);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "stats/bandwidth.h"
 #include "net/hierarchy.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -231,6 +232,41 @@ TEST(MgddTest, RobustBandwidthsPropagateToReplicas) {
   const double expected_bw = ScottBandwidth(
       root_spreads[0], leaf.GlobalEstimator().sample_size(), 1);
   EXPECT_NEAR(replica_bw, expected_bw, 0.25 * expected_bw);
+}
+
+TEST(MgddTest, FiveDimensionalReadingsUseDefaultMdefConfig) {
+  // Five columns at the default MDEF config: the whole-cube cell grid
+  // (50^5 cells) is never built; each test fills its neighbourhood instead.
+  MgddOptions opts = TestOptions();
+  opts.model.dimensions = 5;
+  opts.model.window_size = 300;
+  opts.model.sample_size = 60;
+  opts.min_observations = 120;
+  opts.mdef = MdefConfig();
+  obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+      "stats.kde.cell_grid_builds");
+  obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
+      "core.mgdd.leaf.mdef_evaluations");
+  const uint64_t builds_before = builds->value();
+  const uint64_t evaluations_before = evaluations->value();
+
+  MgddFixture fx(opts);
+  Rng values(21);
+  for (int round = 0; round < 400; ++round) {
+    std::vector<Point> readings;
+    for (size_t i = 0; i < fx.num_leaves; ++i) {
+      Point v(5);
+      for (double& x : v) x = Clamp(values.Gaussian(0.5, 0.05), 0.0, 1.0);
+      readings.push_back(v);
+    }
+    fx.Round(readings);
+  }
+  for (size_t i = 0; i < fx.num_leaves; ++i) {
+    const auto& leaf = static_cast<const MgddLeafNode&>(fx.sim.node(fx.ids[i]));
+    EXPECT_TRUE(leaf.HasGlobalModel()) << "leaf " << i;
+  }
+  EXPECT_GT(evaluations->value() - evaluations_before, 0u);
+  EXPECT_EQ(builds->value(), builds_before);
 }
 
 TEST(MgddTest, NoDetectionWithoutGlobalModel) {
