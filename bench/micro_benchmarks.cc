@@ -120,35 +120,11 @@ void BM_KdeBoxQuery2d(benchmark::State& state) {
 }
 BENCHMARK(BM_KdeBoxQuery2d)->Arg(128)->Arg(512)->Arg(2048);
 
-// A clustered 24-box batch (the shape of an MDEF cell scan) through the
-// single-sweep batched path; compare per-box ns against BM_KdeBoxQuery2d.
-void BM_KdeBoxQueryBatch2d(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
-      RandomSample(n, 2, 6), {0.08, 0.08});
-  Rng q(7);
-  constexpr size_t kBoxes = 24;
-  std::vector<Point> lo(kBoxes), hi(kBoxes);
-  std::vector<double> masses;
-  for (auto _ : state) {
-    const double cx = q.UniformDouble(), cy = q.UniformDouble();
-    for (size_t b = 0; b < kBoxes; ++b) {
-      const double dx = 0.02 * static_cast<double>(b % 6);
-      const double dy = 0.02 * static_cast<double>(b / 6);
-      lo[b] = {cx + dx - 0.01, cy + dy - 0.01};
-      hi[b] = {cx + dx + 0.01, cy + dy + 0.01};
-    }
-    kde->BoxProbabilityBatch(lo, hi, &masses);
-    benchmark::DoNotOptimize(masses.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBoxes);
-}
-BENCHMARK(BM_KdeBoxQueryBatch2d)->Arg(128)->Arg(512)->Arg(2048);
-
-// Primary-axis pruning on the same MDEF-shaped clustered batch: the
-// terms_per_box counter is the mean primary-axis candidate count |R'| a
-// box actually evaluates, and prune_factor = |R| / terms_per_box is the
-// saving over the full-sample sweep the pre-flat engine performed.
+// Primary-axis pruning on a clustered 24-box scan (the shape of an MDEF
+// cell scan), one BoxProbability per box: the terms_per_box counter is the
+// mean primary-axis candidate count |R'| a box actually evaluates, and
+// prune_factor = |R| / terms_per_box is the saving over the full-sample
+// sweep the pre-flat engine performed.
 void BM_KdeBoxQueryPruned2d(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto kde = KernelDensityEstimator::CreateWithScottBandwidths(
@@ -158,7 +134,6 @@ void BM_KdeBoxQueryPruned2d(benchmark::State& state) {
   Rng q(7);
   constexpr size_t kBoxes = 24;
   std::vector<Point> lo(kBoxes), hi(kBoxes);
-  std::vector<double> masses;
   const uint64_t count_before = terms->Count();
   const double sum_before = terms->Sum();
   for (auto _ : state) {
@@ -169,8 +144,9 @@ void BM_KdeBoxQueryPruned2d(benchmark::State& state) {
       lo[b] = {cx + dx - 0.01, cy + dy - 0.01};
       hi[b] = {cx + dx + 0.01, cy + dy + 0.01};
     }
-    kde->BoxProbabilityBatch(lo, hi, &masses);
-    benchmark::DoNotOptimize(masses.data());
+    for (size_t b = 0; b < kBoxes; ++b) {
+      benchmark::DoNotOptimize(kde->BoxProbability(lo[b], hi[b]));
+    }
   }
   const double boxes = static_cast<double>(terms->Count() - count_before);
   const double terms_per_box =
@@ -191,7 +167,6 @@ void BM_KdeBoxQueryPruned3d(benchmark::State& state) {
   Rng q(21);
   constexpr size_t kBoxes = 24;  // 4 x 3 x 2 cell grid
   std::vector<Point> lo(kBoxes), hi(kBoxes);
-  std::vector<double> masses;
   const uint64_t count_before = terms->Count();
   const double sum_before = terms->Sum();
   for (auto _ : state) {
@@ -204,8 +179,9 @@ void BM_KdeBoxQueryPruned3d(benchmark::State& state) {
       lo[b] = {cx + dx - 0.01, cy + dy - 0.01, cz + dz - 0.01};
       hi[b] = {cx + dx + 0.01, cy + dy + 0.01, cz + dz + 0.01};
     }
-    kde->BoxProbabilityBatch(lo, hi, &masses);
-    benchmark::DoNotOptimize(masses.data());
+    for (size_t b = 0; b < kBoxes; ++b) {
+      benchmark::DoNotOptimize(kde->BoxProbability(lo[b], hi[b]));
+    }
   }
   const double boxes = static_cast<double>(terms->Count() - count_before);
   const double terms_per_box =

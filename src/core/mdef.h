@@ -23,6 +23,9 @@
 #ifndef SENSORD_CORE_MDEF_H_
 #define SENSORD_CORE_MDEF_H_
 
+#include <cstddef>
+#include <vector>
+
 #include "core/config.h"
 #include "stats/estimator.h"
 #include "util/math_utils.h"
@@ -48,9 +51,50 @@ struct MdefResult {
 MdefResult MdefFromMasses(double counting_mass, double sum1, double sum2,
                           double sum3, size_t cells, const MdefConfig& config);
 
-/// Evaluates the MDEF criterion for value p against `model`.
-/// Pre: p.size() == model.dimensions(); config radii in (0, 1),
-/// counting_radius <= sampling_radius.
+/// The MDEF sampling neighbourhood of a value p: the cells of the grid of
+/// side 2*alpha*r over the unit cube (cell j covers [j*side, j*side + side)
+/// on each axis, ceil(1/side) cells per axis) whose centre j*side + 0.5*side
+/// lies within the sampling radius r of p on every axis. The L-infinity
+/// ball factors over the axes and the centres increase with j, so the cells
+/// form one block: on axis i, the cells [first[i], first[i] + count[i]).
+struct MdefNeighbourhood {
+  double side = 0.0;          ///< 2 * config.counting_radius
+  std::vector<size_t> first;  ///< per axis, the first selected cell
+  std::vector<size_t> count;  ///< per axis, the number of selected cells
+  size_t cells = 0;           ///< prod_i count[i]; 0 if B(p, r) has none
+};
+
+/// Selects the sampling neighbourhood of p: the one place the cell rule
+/// lives, for both ComputeMdef overloads and the exact ground truth.
+/// Pre: 0 < counting_radius <= sampling_radius < 1, checked.
+MdefNeighbourhood SamplingNeighbourhood(const Point& p,
+                                        const MdefConfig& config);
+
+/// The MDEF statistics of p over `nb`: the power sums of mass(j) over the
+/// cells j of the block (per-axis indices), accumulated row-major with the
+/// last axis fastest, handed to MdefFromMasses with `counting_mass`.
+template <typename CellMass>
+MdefResult MdefOverNeighbourhood(double counting_mass,
+                                 const MdefNeighbourhood& nb,
+                                 const MdefConfig& config, CellMass&& mass) {
+  double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+  std::vector<size_t> j(nb.first);
+  for (size_t c = 0; c < nb.cells; ++c) {
+    const double s = mass(j);
+    sum1 += s;
+    sum2 += s * s;
+    sum3 += s * s * s;
+    for (size_t dim = j.size(); dim-- > 0;) {
+      if (++j[dim] < nb.first[dim] + nb.count[dim]) break;
+      j[dim] = nb.first[dim];
+    }
+  }
+  return MdefFromMasses(counting_mass, sum1, sum2, sum3, nb.cells, config);
+}
+
+/// Evaluates the MDEF criterion for value p against `model`, one
+/// BoxProbability per neighbourhood cell.
+/// Pre: p.size() == model.dimensions(); SamplingNeighbourhood's.
 MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
                        const MdefConfig& config);
 
@@ -66,15 +110,11 @@ MdefResult ComputeMdef(const DistributionEstimator& model, const Point& p,
 /// statistics are bit-identical to a per-evaluation sweep of the sample
 /// over the neighbourhood cells (per-dimension interval masses multiplied
 /// from the last dimension down, summed in canonical row order) and equal
-/// to the generic overload's up to floating-point association. No limit on
-/// d or side beyond the generic overload's. In 1-d it is the generic
-/// overload.
+/// to the generic overload's up to floating-point association. Same
+/// neighbourhood, cell order and preconditions as the generic overload, and
+/// no limit on d or side beyond them. In 1-d it is the generic overload.
 MdefResult ComputeMdef(const class KernelDensityEstimator& kde,
                        const Point& p, const MdefConfig& config);
-
-/// Shorthand for ComputeMdef(...).is_outlier.
-bool IsMdefOutlier(const DistributionEstimator& model, const Point& p,
-                   const MdefConfig& config);
 
 }  // namespace sensord
 

@@ -15,6 +15,15 @@ QueryPartialPayload AnswerFromModel(const DensityModel& model,
   part.query_id = query.id;
   part.leaves = 1;
   if (!model.Ready()) return part;
+  // The box and average axis arrive over the network unchecked: a query
+  // that does not fit this model is answered like an unready model, not
+  // read past the end of the box or aborted on in Average().
+  const size_t d = model.config().dimensions;
+  if (query.lo.size() != d || query.hi.size() != d ||
+      (query.kind == AggregateQuery::Kind::kAverage &&
+       query.average_dim >= d)) {
+    return part;
+  }
 
   part.window_total = model.WindowCount();
   const RangeQueryEngine engine(&model.Estimator(), part.window_total);

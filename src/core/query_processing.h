@@ -121,7 +121,10 @@ class QueryAggregatorNode : public Node {
   std::map<uint32_t, PendingQuery> pending_;
 };
 
-/// Computes a leaf's partial answer from its model — exposed for tests.
+/// Computes a leaf's partial answer from its model — exposed for tests. A
+/// query whose box is not model.config().dimensions wide, or a kAverage
+/// whose average_dim is not an axis of the model, gets the unready answer:
+/// count 0, one leaf reporting.
 QueryPartialPayload AnswerFromModel(const DensityModel& model,
                                     const AggregateQuery& query);
 

@@ -106,58 +106,24 @@ MdefResult GroundTruthTracker::TrueMdef(int slot, const Point& p,
                             2.0 * config.counting_radius) &&
                 "tracker cell side must match the queried counting radius");
 
-  const double side = options_.mdef_cell_side;
-  const double r = config.sampling_radius;
-  const auto& counts = aligned_[slot].counts;
+  SENSORD_CHECK(options_.dimensions <= 2 && "MDEF truth supports d <= 2");
+  SENSORD_DCHECK_EQ(p.size(), options_.dimensions);
 
-  // Accumulate power sums of the cell counts whose centres lie within the
-  // sampling ball — the same cell selection rule as core/mdef.cc.
-  double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
-  size_t cells = 0;
-  const long per_dim = static_cast<long>(aligned_cells_per_dim_);
-
-  auto dim_range = [&](size_t d, long* first, long* last) {
-    *first = std::max(0L, static_cast<long>(std::floor((p[d] - r) / side)));
-    *last = std::min(per_dim - 1,
-                     static_cast<long>(std::floor((p[d] + r) / side)));
-  };
-  auto center_ok = [&](size_t d, long j) {
-    const double center = (static_cast<double>(j) + 0.5) * side;
-    return std::fabs(center - p[d]) <= r;
-  };
-  auto accumulate = [&](double s) {
-    sum1 += s;
-    sum2 += s * s;
-    sum3 += s * s * s;
-    ++cells;
-  };
-
-  if (options_.dimensions == 1) {
-    long first, last;
-    dim_range(0, &first, &last);
-    for (long j = first; j <= last; ++j) {
-      if (!center_ok(0, j)) continue;
-      accumulate(static_cast<double>(counts[static_cast<size_t>(j)]));
-    }
-  } else {
-    SENSORD_CHECK(options_.dimensions == 2 && "MDEF truth supports d <= 2");
-    long fx, lx, fy, ly;
-    dim_range(0, &fx, &lx);
-    dim_range(1, &fy, &ly);
-    for (long jx = fx; jx <= lx; ++jx) {
-      if (!center_ok(0, jx)) continue;
-      for (long jy = fy; jy <= ly; ++jy) {
-        if (!center_ok(1, jy)) continue;
-        const size_t idx = static_cast<size_t>(jx) * aligned_cells_per_dim_ +
-                           static_cast<size_t>(jy);
-        accumulate(static_cast<double>(counts[idx]));
-      }
-    }
+  // The cell counts over the detector's sampling neighbourhood of p: the
+  // same selection rule and cell order as core/mdef.cc.
+  const MdefNeighbourhood nb = SamplingNeighbourhood(p, config);
+  for (size_t dim = 0; dim < nb.first.size(); ++dim) {
+    SENSORD_CHECK_LE(nb.first[dim] + nb.count[dim], aligned_cells_per_dim_);
   }
-
+  const auto& counts = aligned_[slot].counts;
   const double counting =
       counters_[slot]->CountBall(p, config.counting_radius);
-  return MdefFromMasses(counting, sum1, sum2, sum3, cells, config);
+  return MdefOverNeighbourhood(
+      counting, nb, config, [&](const std::vector<size_t>& j) {
+        size_t idx = 0;
+        for (const size_t c : j) idx = idx * aligned_cells_per_dim_ + c;
+        return static_cast<double>(counts[idx]);
+      });
 }
 
 }  // namespace sensord

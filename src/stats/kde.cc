@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -16,16 +15,12 @@ namespace {
 // Per-query cost telemetry: the paper's O(d|R|) box-query bound — and the
 // O(log|R| + |R'|) pruned paths — made observable as the number of kernel
 // terms actually evaluated per query. terms_per_query records, for every
-// box (batched or not), the primary-axis candidate count |R'|;
-// batch_swept_terms counts the rows a batched sweep actually loads (the
-// union candidate range), which is what the batching saves on top of
-// per-box pruning. cell_grid_builds counts memoised CellMassGrid builds
-// (not the per-evaluation CellMassBlock fills), so builds per MDEF
-// evaluation can be read off a metrics dump.
+// box, the candidate count |R'|. cell_grid_builds counts memoised
+// CellMassGrid builds (not the per-evaluation CellMassBlock fills), so
+// builds per MDEF evaluation can be read off a metrics dump.
 struct KdeMetrics {
   obs::Counter* box_queries;
   obs::Histogram* terms_per_query;
-  obs::Counter* batch_swept_terms;
   obs::Counter* cell_grid_builds;
 };
 
@@ -35,7 +30,6 @@ const KdeMetrics& Metrics() {
       registry.GetCounter("stats.kde.box_queries"),
       registry.GetHistogram("stats.kde.terms_per_query",
                             obs::SizeBoundaries()),
-      registry.GetCounter("stats.kde.batch_swept_terms"),
       registry.GetCounter("stats.kde.cell_grid_builds")};
   return m;
 }
@@ -250,105 +244,13 @@ double KernelDensityEstimator::BoxProbability(const Point& lo,
   return total / static_cast<double>(sample_size_);
 }
 
-void KernelDensityEstimator::BoxProbabilityBatch(
-    const std::vector<Point>& lo, const std::vector<Point>& hi,
-    std::vector<double>* out) const {
-  const size_t queries = lo.size();
-  SENSORD_DCHECK_EQ(hi.size(), queries);
-  if (queries == 0) {
-    out->clear();
-    return;
-  }
-  if (dimensions() == 1) {
-    // The sorted 1-d path only touches kernels intersecting each query;
-    // batching could not reduce that further.
-    out->resize(queries);
-    for (size_t q = 0; q < queries; ++q) {
-      (*out)[q] = BoxProbability(lo[q], hi[q]);
-    }
-    return;
-  }
-
-  const size_t d = dimensions();
-  out->assign(queries, 0.0);
-  // Union of the live boxes, seeded empty at ±infinity: the batch must not
-  // assume the [0,1]^d domain, or out-of-domain boxes would widen the union
-  // instead of leaving it empty (and a batch of them would sweep the whole
-  // sample for an all-zero answer).
-  std::vector<char> live(queries, 1);
-  Point batch_lo(d, std::numeric_limits<double>::infinity());
-  Point batch_hi(d, -std::numeric_limits<double>::infinity());
-  size_t live_count = 0;
-  for (size_t q = 0; q < queries; ++q) {
-    SENSORD_DCHECK_EQ(lo[q].size(), d);
-    SENSORD_DCHECK_EQ(hi[q].size(), d);
-    Metrics().box_queries->Increment();
-    for (size_t i = 0; i < d; ++i) {
-      if (lo[q][i] > hi[q][i]) live[q] = 0;  // inverted box: empty
-    }
-    if (!live[q]) continue;
-    // Metric parity with the per-query path: record this box's own
-    // primary-axis candidate count, exactly what BoxProbability would.
-    const auto [q_begin, q_end] =
-        CandidateRows(lo[q][primary_axis_], hi[q][primary_axis_]);
-    Metrics().terms_per_query->Record(static_cast<double>(q_end - q_begin));
-    ++live_count;
-    for (size_t i = 0; i < d; ++i) {
-      batch_lo[i] = std::min(batch_lo[i], lo[q][i]);
-      batch_hi[i] = std::max(batch_hi[i], hi[q][i]);
-    }
-  }
-  if (live_count == 0) return;
-
-  // One sweep over the union's candidate range; each row is loaded once and
-  // support-tested against the union box before any per-box work. Skipped
-  // rows (outside the range or failing the union test) add exactly 0.0 to
-  // every box, so per-box accumulation order matches BoxProbability's
-  // canonical-order sum bit for bit.
-  const auto [sweep_begin, sweep_end] =
-      CandidateRows(batch_lo[primary_axis_], batch_hi[primary_axis_]);
-  Metrics().batch_swept_terms->Increment(
-      static_cast<uint64_t>(sweep_end - sweep_begin));
-  for (size_t row = sweep_begin; row < sweep_end; ++row) {
-    const double* t = sample_.Row(row);
-    bool overlaps = true;
-    for (size_t i = 0; i < d && overlaps; ++i) {
-      const double b = kernels_[i].bandwidth();
-      overlaps = t[i] + b > batch_lo[i] && t[i] - b < batch_hi[i];
-    }
-    if (!overlaps) continue;
-    for (size_t q = 0; q < queries; ++q) {
-      if (!live[q]) continue;
-      double contrib = 1.0;
-      for (size_t i = 0; i < d && contrib > 0.0; ++i) {
-        contrib *= kernels_[i].MassInInterval(t[i], lo[q][i], hi[q][i]);
-      }
-      (*out)[q] += contrib;
-    }
-  }
-  // Divide (not multiply by a reciprocal): bit-identical to BoxProbability.
-  for (size_t q = 0; q < queries; ++q) {
-    (*out)[q] /= static_cast<double>(sample_size_);
-  }
-}
-
 double KernelDensityEstimator::Pdf(const Point& p) const {
   SENSORD_DCHECK_EQ(p.size(), dimensions());
-  if (dimensions() == 1) {
-    const std::vector<double>& sorted = sample_.data();
-    const double b = kernels_[0].bandwidth();
-    const auto begin =
-        std::lower_bound(sorted.begin(), sorted.end(), p[0] - b);
-    const auto end = std::upper_bound(sorted.begin(), sorted.end(), p[0] + b);
-    double total = 0.0;
-    for (auto it = begin; it != end; ++it) {
-      total += kernels_[0].Value(p[0] - *it);
-    }
-    return total / static_cast<double>(sample_size_);
-  }
-  // d > 1: rows outside the primary-axis support window have a zero kernel
-  // factor on that axis, so the candidate restriction is bit-identical to
-  // the full canonical-order sweep (same argument as BoxProbability).
+  // Rows outside the primary-axis support window have a zero kernel factor
+  // on that axis, so the candidate restriction is bit-identical to the full
+  // canonical-order sweep (same argument as BoxProbability). In 1-d the
+  // canonical order is the sorted order and the product is one exact
+  // 1.0 * Value(...).
   const size_t d = dimensions();
   const auto [begin, end] = CandidateRows(p[primary_axis_], p[primary_axis_]);
   double total = 0.0;

@@ -14,12 +14,13 @@
 // sample lives in a flat row-major buffer (util/flat_points.h) held in a
 // *canonical order*: sorted by a primary axis a — the axis with the largest
 // spread/bandwidth ratio, i.e. the axis where sorting prunes best — with
-// ties broken lexicographically over all coordinates. BoxProbability,
-// BoxProbabilityBatch and Pdf binary-search the candidate row range
-// [lo_a − B_a, hi_a + B_a] on that axis and evaluate only terms whose
-// kernel support can intersect the query; every skipped term contributes
-// exactly 0.0, so results are bit-identical to a full sweep over the same
-// canonical order.
+// ties broken lexicographically over all coordinates. BoxProbability and
+// Pdf binary-search the candidate row range [lo_a − B_a, hi_a + B_a] on
+// that axis and evaluate only terms whose kernel support can intersect the
+// query; every skipped term contributes exactly 0.0, so results are
+// bit-identical to a full sweep over the same canonical order. Box queries
+// have one path per dimensionality: the 1-d interval query additionally
+// counts the kernels wholly inside the interval as 1 each.
 //
 // The estimator is an immutable snapshot: the online system (core::
 // DensityModel) rebuilds it cheaply from the current chain sample whenever
@@ -86,18 +87,6 @@ class KernelDensityEstimator : public DistributionEstimator {
   /// O(log|R| + d|R'|), |R'| being the candidate rows whose primary-axis
   /// coordinate falls in [lo_a − B_a, hi_a + B_a].
   double BoxProbability(const Point& lo, const Point& hi) const override;
-
-  /// One candidate-range sweep for the whole batch in d > 1: the union of
-  /// the live boxes bounds one binary-searched row range, each row in it is
-  /// loaded once and tested against the union box before any per-box work.
-  /// Values and metrics are bit-identical to the per-query loop
-  /// (contributions accumulate per box in canonical sample order, exactly
-  /// as BoxProbability sums them, and terms_per_query records each box's
-  /// own candidate count). In 1-d the per-query O(log|R| + |R'|) path is
-  /// already optimal and is used unchanged.
-  void BoxProbabilityBatch(const std::vector<Point>& lo,
-                           const std::vector<Point>& hi,
-                           std::vector<double>* out) const override;
 
   /// Density f(p). Same complexity as BoxProbability.
   double Pdf(const Point& p) const override;
@@ -196,7 +185,9 @@ class KernelDensityEstimator : public DistributionEstimator {
   size_t LowerBoundRow(double v) const;
   size_t UpperBoundRow(double v) const;
 
-  // 1-d fast path for BoxProbability.
+  // 1-d path for BoxProbability: adds the kernels wholly inside [lo, hi]
+  // as one count before the partial masses. That summation order differs
+  // from the d > 1 row sweep's, and it is what the 1-d goldens hold.
   double Interval1dProbability(double lo, double hi) const;
 
   // Fills grid->mass for the block grid->side/first/count describe. Each

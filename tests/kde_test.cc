@@ -224,80 +224,29 @@ TEST(KdeTest, DuplicatePointsAreWeighted) {
   EXPECT_NEAR(kde->BoxProbability({0.85}, {0.95}), 0.25, 1e-12);
 }
 
-// Regression for the batch union-box seeding: the old seed of
-// (lo=1, hi=0) assumed the [0,1]^d domain, so a batch of boxes entirely
-// outside it widened the union to touch the domain and swept real kernel
-// terms for an all-zero answer. With the ±infinity seeding the union is the
-// boxes' true hull and the candidate range is empty.
-TEST(KdeTest, BatchDoesNotAssumeUnitDomain) {
+// Boxes entirely outside the [0,1]^d domain: the candidate range of a box
+// beyond the sample on the primary axis is empty, so the query evaluates no
+// kernel term and answers exactly 0.
+TEST(KdeTest, OutOfDomainBoxHasNoMassOrCandidateTerms) {
   std::vector<Point> sample;
   for (int i = 0; i < 50; ++i) {
     sample.push_back({0.04 + 0.0005 * i, 0.5});
   }
   auto kde = KernelDensityEstimator::Create(sample, {0.1, 0.1});
   ASSERT_TRUE(kde.ok());
+  ASSERT_EQ(kde->primary_axis(), 0u);
 
-  std::vector<Point> lo{{-0.6, 0.4}, {-0.58, 0.45}};
-  std::vector<Point> hi{{-0.5, 0.5}, {-0.48, 0.55}};
-  obs::Counter* swept = obs::MetricsRegistry::Global().GetCounter(
-      "stats.kde.batch_swept_terms");
-  const uint64_t swept_before = swept->value();
-  std::vector<double> masses;
-  kde->BoxProbabilityBatch(lo, hi, &masses);
-  EXPECT_EQ(swept->value() - swept_before, 0u);
-  ASSERT_EQ(masses.size(), 2u);
-  for (size_t q = 0; q < masses.size(); ++q) {
-    EXPECT_DOUBLE_EQ(masses[q], 0.0);
-    EXPECT_DOUBLE_EQ(masses[q], kde->BoxProbability(lo[q], hi[q]));
-  }
-}
-
-// The batched path's contract: identical values and identical per-query
-// metrics as the per-query loop, box by box.
-TEST(KdeTest, BatchMatchesPerQueryValuesAndMetrics) {
-  Rng rng(21);
-  std::vector<Point> sample;
-  for (int i = 0; i < 400; ++i) {
-    sample.push_back({Clamp(rng.Gaussian(0.4, 0.1), 0.0, 1.0),
-                      Clamp(rng.Gaussian(0.6, 0.2), 0.0, 1.0)});
-  }
-  auto kde = KernelDensityEstimator::Create(sample, {0.05, 0.08});
-  ASSERT_TRUE(kde.ok());
-
-  std::vector<Point> lo, hi;
-  for (int b = 0; b < 12; ++b) {
-    const double cx = 0.1 + 0.06 * b, cy = 0.9 - 0.05 * b;
-    lo.push_back({cx - 0.02, cy - 0.02});
-    hi.push_back({cx + 0.02, cy + 0.02});
-  }
-  lo.push_back({0.5, 0.5});  // one inverted box rides along
-  hi.push_back({0.4, 0.6});
-
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::Counter* queries = registry.GetCounter("stats.kde.box_queries");
-  obs::Histogram* terms =
-      registry.GetHistogram("stats.kde.terms_per_query",
-                            obs::SizeBoundaries());
-
-  const uint64_t q0 = queries->value();
-  const uint64_t c0 = terms->Count();
-  const double s0 = terms->Sum();
-  std::vector<double> batched;
-  kde->BoxProbabilityBatch(lo, hi, &batched);
-  const uint64_t batch_queries = queries->value() - q0;
-  const uint64_t batch_records = terms->Count() - c0;
-  const double batch_terms = terms->Sum() - s0;
-
-  const uint64_t q1 = queries->value();
-  const uint64_t c1 = terms->Count();
-  const double s1 = terms->Sum();
-  ASSERT_EQ(batched.size(), lo.size());
+  const std::vector<Point> lo{{-0.6, 0.4}, {-0.58, 0.45}};
+  const std::vector<Point> hi{{-0.5, 0.5}, {-0.48, 0.55}};
+  obs::Histogram* terms = obs::MetricsRegistry::Global().GetHistogram(
+      "stats.kde.terms_per_query", obs::SizeBoundaries());
   for (size_t q = 0; q < lo.size(); ++q) {
-    EXPECT_DOUBLE_EQ(batched[q], kde->BoxProbability(lo[q], hi[q])) << q;
+    const uint64_t count_before = terms->Count();
+    const double sum_before = terms->Sum();
+    EXPECT_EQ(kde->BoxProbability(lo[q], hi[q]), 0.0) << q;
+    EXPECT_EQ(terms->Count() - count_before, 1u) << q;
+    EXPECT_EQ(terms->Sum() - sum_before, 0.0) << q;
   }
-  EXPECT_EQ(batch_queries, queries->value() - q1);
-  EXPECT_EQ(batch_records, terms->Count() - c1);
-  EXPECT_DOUBLE_EQ(batch_terms, terms->Sum() - s1);
 }
 
 }  // namespace

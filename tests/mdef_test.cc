@@ -396,5 +396,89 @@ TEST(MdefTest, KdeLargeGridsFallBackToNeighbourhoodBlocks) {
   }
 }
 
+// The neighbourhood helper against a brute-force scan of every cell of the
+// grid: cell j is in iff its centre j*side + 0.5*side lies within r of p on
+// every axis. MdefOverNeighbourhood must visit exactly those cells, in
+// row-major order with the last axis fastest. Points near 0 and 1 and
+// outside [0,1] clip the block at the domain edges or empty it.
+TEST(MdefTest, SamplingNeighbourhoodMatchesCentreRule) {
+  MdefConfig coarse = DefaultConfig();
+  coarse.sampling_radius = 0.2;
+  coarse.counting_radius = 0.05;  // side 0.1
+  MdefConfig fine = DefaultConfig();
+  fine.sampling_radius = 0.1;
+  fine.counting_radius = 0.003;  // side 0.006
+  MdefConfig tight = DefaultConfig();
+  tight.sampling_radius = 0.01;  // r == alpha*r: one cell or none per axis
+  const std::vector<double> coords{0.5,  0.37, 0.0,  0.001, 0.011, 0.999,
+                                   1.0,  0.97, -0.05, -0.5, 1.07,  1.5};
+  Rng rng(14);
+  for (const size_t d : {1u, 2u, 3u}) {
+    for (const MdefConfig& cfg : {DefaultConfig(), coarse, fine, tight}) {
+      // Keep the 3-d scan small: only the coarse grid (10^3 cells).
+      if (d == 3 && cfg.counting_radius != coarse.counting_radius) continue;
+      const double side = 2.0 * cfg.counting_radius;
+      const size_t n = static_cast<size_t>(std::ceil(1.0 / side));
+      size_t grid_cells = 1;
+      for (size_t dim = 0; dim < d; ++dim) grid_cells *= n;
+      for (int trial = 0; trial < 40; ++trial) {
+        Point p(d);
+        for (double& x : p) x = coords[rng.UniformUint64(coords.size())];
+        SCOPED_TRACE(testing::Message()
+                     << "d=" << d << " side=" << side << " p0=" << p[0]);
+
+        std::vector<std::vector<size_t>> want;
+        for (size_t c = 0; c < grid_cells; ++c) {
+          std::vector<size_t> j(d);
+          size_t rest = c;
+          for (size_t dim = d; dim-- > 0;) {
+            j[dim] = rest % n;
+            rest /= n;
+          }
+          bool in = true;
+          for (size_t dim = 0; dim < d; ++dim) {
+            const double centre =
+                static_cast<double>(j[dim]) * side + 0.5 * side;
+            in = in && std::fabs(centre - p[dim]) <= cfg.sampling_radius;
+          }
+          if (in) want.push_back(j);
+        }
+
+        const MdefNeighbourhood nb = SamplingNeighbourhood(p, cfg);
+        EXPECT_EQ(nb.side, side);
+        ASSERT_EQ(nb.first.size(), d);
+        ASSERT_EQ(nb.count.size(), d);
+        EXPECT_EQ(nb.cells, want.size());
+        std::vector<std::vector<size_t>> got;
+        const MdefResult r = MdefOverNeighbourhood(
+            0.0, nb, cfg, [&](const std::vector<size_t>& j) {
+              got.push_back(j);
+              return 1.0;
+            });
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(r.cells_considered, want.size());
+      }
+    }
+  }
+}
+
+// Both overloads check the radii through SamplingNeighbourhood, the d > 1
+// KDE overload included.
+TEST(MdefDeathTest, BothOverloadsRejectSamplingRadiusOfOne) {
+  auto kde = KernelDensityEstimator::Create(
+      {{0.3, 0.4}, {0.5, 0.5}, {0.6, 0.2}}, {0.05, 0.05});
+  ASSERT_TRUE(kde.ok());
+  MdefConfig cfg = DefaultConfig();
+  for (const double r : {1.0, 1.5}) {
+    cfg.sampling_radius = r;
+    EXPECT_DEATH(ComputeMdef(*kde, {0.4, 0.4}, cfg),
+                 "SENSORD_CHECK_LT\\(config.sampling_radius, 1.0\\) failed");
+    EXPECT_DEATH(
+        ComputeMdef(static_cast<const DistributionEstimator&>(*kde),
+                    {0.4, 0.4}, cfg),
+        "SENSORD_CHECK_LT\\(config.sampling_radius, 1.0\\) failed");
+  }
+}
+
 }  // namespace
 }  // namespace sensord

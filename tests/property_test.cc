@@ -287,11 +287,11 @@ INSTANTIATE_TEST_SUITE_P(Dims, SyntheticConsistencyTest,
                          ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------
-// Primary-axis pruning (DESIGN.md §13): BoxProbability / Pdf /
-// BoxProbabilityBatch restrict the sweep to the binary-searched candidate
-// range, and the skipped terms contribute exactly 0.0 — so the results must
-// be *bit-identical* to a reference full sweep over the same canonical
-// order, for every seed and dimensionality.
+// Primary-axis pruning (DESIGN.md §13): BoxProbability / Pdf restrict the
+// sweep to the binary-searched candidate range, and the skipped terms
+// contribute exactly 0.0 — so the results must be *bit-identical* to a
+// reference full sweep over the same canonical order, for every seed and
+// dimensionality.
 // ---------------------------------------------------------------------
 
 double ReferenceFullSweepBoxMass(const KernelDensityEstimator& kde,
@@ -390,7 +390,6 @@ TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
     std::vector<EpanechnikovKernel> kernels;
     for (double b : bandwidths) kernels.emplace_back(b);
 
-    std::vector<Point> lo_batch, hi_batch;
     for (int q = 0; q < 8; ++q) {
       Point lo(d), hi(d);
       for (size_t i = 0; i < d; ++i) {
@@ -409,20 +408,6 @@ TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
       for (size_t i = 0; i < d; ++i) p[i] = rng.UniformDouble(-0.1, 1.1);
       ASSERT_EQ(kde->Pdf(p), ReferenceFullSweepPdf(*kde, kernels, p))
           << "pdf diverged at seed " << seed << " d " << d;
-
-      lo_batch.push_back(std::move(lo));
-      hi_batch.push_back(std::move(hi));
-    }
-
-    std::vector<double> batched;
-    kde->BoxProbabilityBatch(lo_batch, hi_batch, &batched);
-    ASSERT_EQ(batched.size(), lo_batch.size());
-    for (size_t q = 0; q < batched.size(); ++q) {
-      ASSERT_EQ(batched[q],
-                ReferenceFullSweepBoxMass(*kde, kernels, lo_batch[q],
-                                          hi_batch[q]))
-          << "batched mass diverged at seed " << seed << " d " << d
-          << " box " << q;
     }
   }
 }

@@ -88,6 +88,47 @@ TEST(AnswerFromModelTest, CountMatchesModel) {
   EXPECT_DOUBLE_EQ(part.window_total, 1000.0);
 }
 
+// A box of the wrong width or an average axis the model lacks, as a
+// malformed kMsgQueryRequest could carry, is answered like an unready
+// model instead of reading past the box or aborting.
+TEST(AnswerFromModelTest, MalformedQueryAnswersLikeUnreadyModel) {
+  DensityModelConfig cfg = LeafConfig();
+  cfg.dimensions = 2;
+  DensityModel model(cfg, Rng(5));
+  Rng values(6);
+  for (int i = 0; i < 2000; ++i) {
+    model.Observe({values.Gaussian(0.4, 0.02), values.Gaussian(0.6, 0.02)});
+  }
+  ASSERT_TRUE(model.Ready());
+
+  AggregateQuery good;
+  good.kind = AggregateQuery::Kind::kAverage;
+  good.lo = {0.3, 0.5};
+  good.hi = {0.5, 0.7};
+  good.average_dim = 1;
+  EXPECT_GT(AnswerFromModel(model, good).count, 0.0);
+
+  std::vector<AggregateQuery> bad(5, good);
+  bad[0].lo = {0.3};
+  bad[0].hi = {0.5};
+  bad[1].lo = {0.3};
+  bad[2].hi = {0.5, 0.7, 0.9};
+  bad[3].lo = {};
+  bad[3].hi = {};
+  bad[4].average_dim = 2;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const auto part = AnswerFromModel(model, bad[i]);
+    EXPECT_DOUBLE_EQ(part.count, 0.0) << i;
+    EXPECT_DOUBLE_EQ(part.weighted_sum, 0.0) << i;
+    EXPECT_DOUBLE_EQ(part.window_total, 0.0) << i;
+    EXPECT_EQ(part.leaves, 1u) << i;
+  }
+  // average_dim is only read by kAverage queries.
+  AggregateQuery count = bad[4];
+  count.kind = AggregateQuery::Kind::kCount;
+  EXPECT_GT(AnswerFromModel(model, count).count, 0.0);
+}
+
 TEST(FinalizeAnswerTest, Kinds) {
   AggregateQuery q;
   QueryPartialPayload acc;
@@ -154,6 +195,38 @@ TEST(QueryNetworkTest, AverageQuery) {
   q.average_dim = 0;
   const QueryAnswer a = fx.Ask(q);
   EXPECT_NEAR(a.value, 0.6, 0.02);
+}
+
+// A malformed query sent through the tree neither aborts the simulation
+// nor reads past a leaf's box: every leaf reports an empty answer.
+TEST(QueryNetworkTest, MalformedQueryResolvesWithEmptyAnswers) {
+  QueryFixture fx(4);
+  Rng values(9);
+  fx.Feed(1200, [&](size_t) {
+    return Point{Clamp(values.Gaussian(0.5, 0.05), 0.0, 1.0)};
+  });
+
+  AggregateQuery q;
+  q.id = 11;
+  q.kind = AggregateQuery::Kind::kAverage;
+  q.lo = {0.3, 0.0};  // a 2-d box against 1-d leaves
+  q.hi = {0.7, 1.0};
+  q.average_dim = 1;
+  const QueryAnswer a = fx.Ask(q);
+  EXPECT_EQ(a.leaves_reporting, 4u);
+  EXPECT_DOUBLE_EQ(a.support_count, 0.0);
+  EXPECT_DOUBLE_EQ(a.value, 0.0);
+
+  q.id = 12;
+  q.lo = {0.3};
+  q.hi = {0.7};
+  const QueryAnswer well_formed_box = fx.Ask(q);  // average_dim still 1
+  EXPECT_EQ(well_formed_box.leaves_reporting, 4u);
+  EXPECT_DOUBLE_EQ(well_formed_box.support_count, 0.0);
+
+  q.id = 13;
+  q.average_dim = 0;
+  EXPECT_GT(fx.Ask(q).support_count, 0.0);
 }
 
 TEST(QueryNetworkTest, RegionScopedQueryAtSubtreeLeader) {

@@ -62,6 +62,47 @@ TEST(RangeQueryTest, DegenerateBoxRejected) {
   EXPECT_FALSE(engine.Average(0, {0.5}, {0.5}).ok());
 }
 
+// 2-d Average along both axes. The sample spreads widely on x and narrowly
+// on y, so x is the KDE's primary axis and the y average slices the box
+// along the other one. Each answer is checked against the mean of the
+// sample points well inside the box.
+TEST(RangeQueryTest, Average2dAlongPrimaryAndOtherAxis) {
+  Rng rng(6);
+  std::vector<Point> sample;
+  for (int i = 0; i < 2000; ++i) {
+    sample.push_back({rng.UniformDouble(0.1, 0.9),
+                      Clamp(rng.Gaussian(0.45, 0.03), 0.0, 1.0)});
+  }
+  auto kde = KernelDensityEstimator::Create(sample, {0.02, 0.01});
+  ASSERT_TRUE(kde.ok());
+  ASSERT_EQ(kde->primary_axis(), 0u);
+  RangeQueryEngine engine(&*kde, 2000.0);
+
+  const Point lo{0.3, 0.4}, hi{0.5, 0.6};
+  double sum_x = 0.0, sum_y = 0.0;
+  size_t inside = 0;
+  for (const Point& t : sample) {
+    if (t[0] < lo[0] || t[0] > hi[0] || t[1] < lo[1] || t[1] > hi[1]) {
+      continue;
+    }
+    sum_x += t[0];
+    sum_y += t[1];
+    ++inside;
+  }
+  ASSERT_GT(inside, 100u);
+
+  auto avg_x = engine.Average(0, lo, hi);
+  ASSERT_TRUE(avg_x.ok());
+  EXPECT_NEAR(*avg_x, sum_x / static_cast<double>(inside), 0.01);
+  auto avg_y = engine.Average(1, lo, hi);
+  ASSERT_TRUE(avg_y.ok());
+  EXPECT_NEAR(*avg_y, sum_y / static_cast<double>(inside), 0.005);
+  // Conditioning on the upper half of the y band moves the y average up.
+  auto upper_y = engine.Average(1, {0.3, 0.45}, hi);
+  ASSERT_TRUE(upper_y.ok());
+  EXPECT_GT(*upper_y, *avg_y);
+}
+
 TEST(TemporalStoreTest, SelectsSnapshotsInInterval) {
   Rng rng(6);
   TemporalModelStore store(10);
