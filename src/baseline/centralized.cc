@@ -1,18 +1,12 @@
 #include "baseline/centralized.h"
 
-#include "core/protocol.h"
+#include <variant>
 
 namespace sensord {
 
 void CentralizedLeafNode::OnReading(const Point& value) {
   if (parent() == kNoNode) return;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRawReading;
-  msg.size_numbers = value.size();
-  msg.payload = MakeSampleValue(value);
-  sim()->Send(std::move(msg));
+  Send(parent(), RawReadingPayload{value});
 }
 
 CentralizedRelayNode::CentralizedRelayNode(size_t window_capacity,
@@ -25,20 +19,13 @@ SlidingWindow& CentralizedRelayNode::EnsureWindow() const {
 }
 
 void CentralizedRelayNode::HandleMessage(const Message& msg) {
-  if (msg.kind != kMsgRawReading) return;
-  const auto& shared = std::any_cast<const SharedSampleValue&>(msg.payload);
-  const SampleValuePayload& payload = *shared;
+  const auto* reading = std::get_if<RawReadingPayload>(&msg.payload);
+  if (reading == nullptr) return;
   if (parent() == kNoNode) {
-    (void)EnsureWindow().Add(payload.value);
+    (void)EnsureWindow().Add(reading->value);
     return;
   }
-  Message fwd;
-  fwd.from = id();
-  fwd.to = parent();
-  fwd.kind = kMsgRawReading;
-  fwd.size_numbers = payload.value.size();
-  fwd.payload = shared;  // forward the shared handle, not a payload copy
-  sim()->Send(std::move(fwd));
+  Send(parent(), *reading);
 }
 
 }  // namespace sensord

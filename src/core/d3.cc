@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <variant>
 
 #include "core/detection_telemetry.h"
 #include "core/distance_outlier.h"
-#include "core/protocol.h"
 #include "core/snapshot.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -38,30 +38,6 @@ const D3Metrics& Metrics() {
       registry.GetCounter("core.d3.parent.sample_arrivals"),
       registry.GetCounter("core.d3.parent.rechecks"),
       registry.GetCounter("core.d3.parent.confirms")};
-  return m;
-}
-
-// Shared with mgdd.cc by name: degraded-state entries of any detector.
-obs::Counter* DegradedWindowsCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter("core.degraded_windows");
-  return counter;
-}
-
-// Rejoin-protocol telemetry, shared with mgdd.cc by name.
-struct RejoinMetrics {
-  obs::Counter* announces;  // rejoin/recovered announces sent upward
-  obs::Counter* resyncs;    // model resync summaries sent to children
-  obs::Histogram* ttr_s;    // restart -> capability, virtual seconds
-};
-
-const RejoinMetrics& Rejoin() {
-  auto& registry = obs::MetricsRegistry::Global();
-  static const RejoinMetrics m{
-      registry.GetCounter("recovery.rejoin_announces"),
-      registry.GetCounter("recovery.rejoin_resyncs"),
-      registry.GetHistogram("recovery.time_to_recover_s",
-                            obs::DurationBoundariesS())};
   return m;
 }
 
@@ -131,13 +107,7 @@ void D3LeafNode::OnReading(const Point& value) {
   if (inserted && parent() != kNoNode &&
       rng_.Bernoulli(options_.sample_fraction)) {
     Metrics().leaf_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
+    Send(parent(), SampleValuePayload{value});
   }
 
   if (model_.total_seen() < options_.min_observations) return;
@@ -176,28 +146,20 @@ void D3LeafNode::OnReading(const Point& value) {
     observer_->OnOutlierDetected(event);
   }
   if (parent() != kNoNode) {
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgOutlierReport;
-    msg.size_numbers = value.size() + 2;
     OutlierReportPayload report{value, level(), id(), seq};
     report.ingest_time = now;
-    msg.payload = report;
-    msg.trace_id = trace;
-    msg.trace_parent_span = span;
-    sim()->Send(std::move(msg));
+    Send(parent(), std::move(report), trace, span);
   }
 }
 
 void D3LeafNode::HandleMessage(const Message& msg) {
   // Leaves receive nothing in D3 except a post-restart model resync from
   // the parent; tolerate stray traffic.
-  if (msg.kind != kMsgRejoinResync) return;
+  const auto* resync = std::get_if<RejoinResyncPayload>(&msg.payload);
+  if (resync == nullptr) return;
   if (!recovering_ || warm_started_) return;  // late/duplicate resync
-  const auto& resync = std::any_cast<const RejoinResyncPayload&>(msg.payload);
   warm_started_ = true;
-  for (const Point& p : resync.sample) model_.Observe(p);
+  for (const Point& p : resync->sample) model_.Observe(p);
   MaybeFinishRecovery();
 }
 
@@ -236,26 +198,10 @@ void D3LeafNode::OnRestart(bool restored_from_checkpoint,
   recovering_ = true;
   warm_started_ = false;
   restart_time_ = sim()->Now();
-  SendAnnounce(restored_from_checkpoint, /*recovered=*/false);
+  SendRejoinAnnounce(*this, model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
   // A checkpoint restore may come back already capable.
   MaybeFinishRecovery();
-}
-
-void D3LeafNode::SendAnnounce(bool restored_from_checkpoint, bool recovered) {
-  if (parent() == kNoNode) return;
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = recovered;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
 }
 
 void D3LeafNode::MaybeFinishRecovery() {
@@ -263,7 +209,8 @@ void D3LeafNode::MaybeFinishRecovery() {
   if (model_.total_seen() < options_.min_observations) return;
   recovering_ = false;
   Rejoin().ttr_s->Record(sim()->Now() - restart_time_);
-  SendAnnounce(/*restored_from_checkpoint=*/false, /*recovered=*/true);
+  SendRejoinAnnounce(*this, model_.total_seen(),
+                     /*from_checkpoint=*/false, /*recovered=*/true);
 }
 
 D3ParentNode::D3ParentNode(const D3Options& options, Rng rng,
@@ -306,41 +253,26 @@ void D3ParentNode::HandleMessage(const Message& msg) {
   if (heard != last_heard_.end()) heard->second = now;
   degraded_state_ = ComputeDegraded(now);
 
-  switch (msg.kind) {
-    case kMsgSampleValue: {
-      const auto& payload =
-          *std::any_cast<const SharedSampleValue&>(msg.payload);
-      HandleSampleValue(payload.value);
-      break;
+  if (const auto* sample = std::get_if<SampleValuePayload>(&msg.payload)) {
+    HandleSampleValue(sample->value);
+  } else if (const auto* report =
+                 std::get_if<OutlierReportPayload>(&msg.payload)) {
+    HandleOutlierReport(msg, *report);
+  } else if (const auto* ann =
+                 std::get_if<RejoinAnnouncePayload>(&msg.payload)) {
+    HandleRejoinAnnounce(msg.from, *ann);
+    // The announce itself can open or close the recovering-children
+    // degradation window; settle it with the usual rising-edge count.
+    const bool now_degraded = ComputeDegraded(now);
+    if (now_degraded && !degraded_state_) {
+      DegradedWindowsCounter()->Increment();
     }
-    case kMsgOutlierReport: {
-      const auto& payload =
-          std::any_cast<const OutlierReportPayload&>(msg.payload);
-      HandleOutlierReport(msg, payload);
-      break;
-    }
-    case kMsgRejoinAnnounce: {
-      const auto& payload =
-          std::any_cast<const RejoinAnnouncePayload&>(msg.payload);
-      HandleRejoinAnnounce(msg.from, payload);
-      // The announce itself can open or close the recovering-children
-      // degradation window; settle it with the usual rising-edge count.
-      const bool now_degraded = ComputeDegraded(now);
-      if (now_degraded && !degraded_state_) {
-        DegradedWindowsCounter()->Increment();
-      }
-      degraded_state_ = now_degraded;
-      break;
-    }
-    case kMsgRejoinResync: {
-      const auto& payload =
-          std::any_cast<const RejoinResyncPayload&>(msg.payload);
-      HandleRejoinResync(payload);
-      break;
-    }
-    default:
-      break;  // not ours
+    degraded_state_ = now_degraded;
+  } else if (const auto* resync =
+                 std::get_if<RejoinResyncPayload>(&msg.payload)) {
+    HandleRejoinResync(*resync);
   }
+  // Anything else is not ours.
 }
 
 void D3ParentNode::HandleRejoinAnnounce(NodeId child,
@@ -361,13 +293,7 @@ void D3ParentNode::HandleRejoinAnnounce(NodeId child,
   resync.sample = model_.sample().Snapshot();
   resync.spreads = model_.BandwidthSpreads();
   resync.parent_seen = model_.total_seen();
-  Message msg;
-  msg.from = id();
-  msg.to = child;
-  msg.kind = kMsgRejoinResync;
-  msg.size_numbers = resync.SizeNumbers(options_.model.dimensions);
-  msg.payload = std::move(resync);
-  sim()->Send(std::move(msg));
+  Send(child, std::move(resync));
 }
 
 void D3ParentNode::HandleRejoinResync(const RejoinResyncPayload& resync) {
@@ -415,33 +341,17 @@ void D3ParentNode::OnRestart(bool restored_from_checkpoint,
   recovering_ = true;
   warm_started_ = false;
   restart_time_ = sim()->Now();
-  SendAnnounce(restored_from_checkpoint, /*recovered=*/false);
+  SendRejoinAnnounce(*this, model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
   MaybeFinishRecovery();
-}
-
-void D3ParentNode::SendAnnounce(bool restored_from_checkpoint,
-                                bool recovered) {
-  if (parent() == kNoNode) return;  // the root rejoins nobody
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = recovered;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
 }
 
 void D3ParentNode::MaybeFinishRecovery() {
   if (!recovering_) return;
   if (model_.total_seen() < options_.min_observations) return;
   recovering_ = false;
-  SendAnnounce(/*restored_from_checkpoint=*/false, /*recovered=*/true);
+  SendRejoinAnnounce(*this, model_.total_seen(),
+                     /*from_checkpoint=*/false, /*recovered=*/true);
 }
 
 void D3ParentNode::HandleSampleValue(const Point& value) {
@@ -453,13 +363,7 @@ void D3ParentNode::HandleSampleValue(const Point& value) {
   if (inserted && parent() != kNoNode &&
       rng_.Bernoulli(options_.sample_fraction)) {
     Metrics().parent_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
+    Send(parent(), SampleValuePayload{value});
   }
 }
 
@@ -522,17 +426,7 @@ void D3ParentNode::HandleOutlierReport(const Message& incoming,
         staleness, trace};
     observer_->OnOutlierDetected(event);
   }
-  if (parent() != kNoNode) {
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgOutlierReport;
-    msg.size_numbers = report.value.size() + 2;
-    msg.payload = report;
-    msg.trace_id = trace;
-    msg.trace_parent_span = span;
-    sim()->Send(std::move(msg));
-  }
+  if (parent() != kNoNode) Send(parent(), report, trace, span);
 }
 
 }  // namespace sensord

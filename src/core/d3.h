@@ -29,7 +29,7 @@
 #include "core/density_model.h"
 #include "core/faulty_sensor.h"
 #include "core/outlier_observer.h"
-#include "core/protocol.h"
+#include "net/protocol.h"
 #include "data/validate.h"
 #include "net/network.h"
 #include "net/node.h"
@@ -113,8 +113,6 @@ class D3LeafNode : public Node {
   bool recovering() const { return recovering_; }
 
  private:
-  // Announces rejoin/recovery to the parent.
-  void SendAnnounce(bool restored_from_checkpoint, bool recovered);
   // Closes the recovery window once the model is capable again.
   void MaybeFinishRecovery();
 
@@ -163,7 +161,6 @@ class D3ParentNode : public Node {
   void HandleRejoinAnnounce(NodeId child, const RejoinAnnouncePayload& ann);
   void HandleRejoinResync(const RejoinResyncPayload& resync);
   bool ComputeDegraded(SimTime now) const;
-  void SendAnnounce(bool restored_from_checkpoint, bool recovered);
   void MaybeFinishRecovery();
 
   D3Options options_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <utility>
+#include <variant>
 
 #include "core/detection_telemetry.h"
 #include "core/snapshot.h"
@@ -17,10 +18,6 @@
 
 namespace sensord {
 namespace {
-
-// Global updates are fanned out to every child; share one immutable payload
-// across all copies of the message.
-using SharedUpdate = std::shared_ptr<const GlobalModelUpdatePayload>;
 
 struct MgddMetrics {
   obs::Counter* mdef_evaluations;     // leaf MDEF tests vs the global model
@@ -45,30 +42,6 @@ const MgddMetrics& Metrics() {
       registry.GetCounter("core.mgdd.leaf.updates_applied"),
       registry.GetHistogram("core.mgdd.root.update_slots",
                             obs::SizeBoundaries())};
-  return m;
-}
-
-// Shared with d3.cc by name: degraded-state entries of any detector.
-obs::Counter* DegradedWindowsCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter("core.degraded_windows");
-  return counter;
-}
-
-// Rejoin-protocol telemetry, shared with d3.cc by name.
-struct RejoinMetrics {
-  obs::Counter* announces;
-  obs::Counter* resyncs;
-  obs::Histogram* ttr_s;
-};
-
-const RejoinMetrics& Rejoin() {
-  auto& registry = obs::MetricsRegistry::Global();
-  static const RejoinMetrics m{
-      registry.GetCounter("recovery.rejoin_announces"),
-      registry.GetCounter("recovery.rejoin_resyncs"),
-      registry.GetHistogram("recovery.time_to_recover_s",
-                            obs::DurationBoundariesS())};
   return m;
 }
 
@@ -169,19 +142,14 @@ void MgddLeafNode::OnReading(const Point& value) {
   if (inserted && parent() != kNoNode &&
       rng_.Bernoulli(options_.sample_fraction)) {
     Metrics().leaf_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
+    Send(parent(), SampleValuePayload{value});
   }
 }
 
 void MgddLeafNode::HandleMessage(const Message& msg) {
-  if (msg.kind != kMsgGlobalModelUpdate) return;
-  const auto& update = std::any_cast<const SharedUpdate&>(msg.payload);
+  const auto* shared = std::get_if<SharedGlobalModelUpdate>(&msg.payload);
+  if (shared == nullptr) return;
+  const GlobalModelUpdatePayload& update = **shared;
   if (msg.trace_id != 0) {
     // Terminal hop of the update chain rooted at mgdd.originate_update.
     obs::EmitCausalSpan(
@@ -193,12 +161,12 @@ void MgddLeafNode::HandleMessage(const Message& msg) {
     global_sample_.resize(options_.model.sample_size);
     slot_valid_.assign(options_.model.sample_size, false);
   }
-  for (const GlobalSlotUpdate& u : update->updates) {
+  for (const GlobalSlotUpdate& u : update.updates) {
     if (u.slot >= global_sample_.size()) continue;  // malformed; ignore
     global_sample_[u.slot] = u.value;
     slot_valid_[u.slot] = true;
   }
-  global_stddevs_ = update->stddevs;
+  global_stddevs_ = update.stddevs;
   ++updates_received_;
   ++replica_version_;
   last_update_time_ = sim()->Now();
@@ -273,26 +241,9 @@ void MgddLeafNode::OnRestart(bool restored_from_checkpoint,
   (void)incarnation;
   recovering_ = true;
   restart_time_ = sim()->Now();
-  SendAnnounce(restored_from_checkpoint, /*recovered=*/false);
+  SendRejoinAnnounce(*this, local_model_.total_seen(),
+                     restored_from_checkpoint, /*recovered=*/false);
   MaybeFinishRecovery();
-}
-
-void MgddLeafNode::SendAnnounce(bool restored_from_checkpoint,
-                                bool recovered) {
-  if (parent() == kNoNode) return;
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = local_model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = recovered;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
 }
 
 void MgddLeafNode::MaybeFinishRecovery() {
@@ -302,7 +253,8 @@ void MgddLeafNode::MaybeFinishRecovery() {
   if (local_model_.total_seen() < options_.min_observations) return;
   recovering_ = false;
   Rejoin().ttr_s->Record(sim()->Now() - restart_time_);
-  SendAnnounce(/*restored_from_checkpoint=*/false, /*recovered=*/true);
+  SendRejoinAnnounce(*this, local_model_.total_seen(),
+                     /*from_checkpoint=*/false, /*recovered=*/true);
 }
 
 bool MgddLeafNode::degraded() const {
@@ -339,47 +291,34 @@ MgddInternalNode::MgddInternalNode(const MgddOptions& options, Rng rng)
       rng_(rng) {}
 
 void MgddInternalNode::HandleMessage(const Message& msg) {
-  switch (msg.kind) {
-    case kMsgSampleValue: {
-      const auto& payload =
-          *std::any_cast<const SharedSampleValue&>(msg.payload);
-      HandleSampleValue(payload.value);
-      break;
+  if (const auto* sample = std::get_if<SampleValuePayload>(&msg.payload)) {
+    HandleSampleValue(sample->value);
+  } else if (const auto* update =
+                 std::get_if<SharedGlobalModelUpdate>(&msg.payload)) {
+    // An update flowing down: relay the shared payload to all children,
+    // continuing the update's causal chain (this relay becomes the
+    // children's parent span).
+    obs::TraceContext ctx{msg.trace_id, msg.trace_parent_span};
+    if (ctx.valid()) {
+      const uint64_t span =
+          obs::DeriveSpanId(ctx.trace_id, id(), /*salt=*/level());
+      obs::EmitCausalSpan("mgdd.relay_update", id(), sim()->Now(),
+                          ctx.trace_id, span, ctx.parent_span);
+      ctx.parent_span = span;
     }
-    case kMsgGlobalModelUpdate: {
-      // An update flowing down: relay to all children, continuing the
-      // update's causal chain (this relay becomes the children's parent
-      // span).
-      const auto& update = std::any_cast<const SharedUpdate&>(msg.payload);
-      obs::TraceContext ctx{msg.trace_id, msg.trace_parent_span};
-      if (ctx.valid()) {
-        const uint64_t span =
-            obs::DeriveSpanId(ctx.trace_id, id(), /*salt=*/level());
-        obs::EmitCausalSpan("mgdd.relay_update", id(), sim()->Now(),
-                            ctx.trace_id, span, ctx.parent_span);
-        ctx.parent_span = span;
-      }
-      BroadcastToChildren(*update, ctx);
-      break;
-    }
-    case kMsgRejoinAnnounce:
-      HandleRejoinAnnounce(msg);
-      break;
-    default:
-      break;
+    BroadcastToChildren(*update, ctx);
+  } else if (const auto* ann =
+                 std::get_if<RejoinAnnouncePayload>(&msg.payload)) {
+    HandleRejoinAnnounce(*ann);
   }
 }
 
-void MgddInternalNode::HandleRejoinAnnounce(const Message& msg) {
-  const auto& ann = std::any_cast<const RejoinAnnouncePayload&>(msg.payload);
+void MgddInternalNode::HandleRejoinAnnounce(const RejoinAnnouncePayload& ann) {
   // Recovered-notices are D3 parent bookkeeping; MGDD has nothing to clear.
   if (ann.recovered) return;
   if (!is_root()) {
     // Relay upward so the root hears about rejoins anywhere in its subtree.
-    Message up = msg;
-    up.from = id();
-    up.to = parent();
-    sim()->Send(std::move(up));
+    Send(parent(), ann);
     return;
   }
   // The rejoined node (or the leaves below it) lost its replica; push a
@@ -401,13 +340,7 @@ void MgddInternalNode::HandleSampleValue(const Point& value) {
   }
   if (inserted && rng_.Bernoulli(options_.sample_fraction)) {
     Metrics().internal_propagations->Increment();
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgSampleValue;
-    msg.size_numbers = value.size();
-    msg.payload = MakeSampleValue(value);
-    sim()->Send(std::move(msg));
+    Send(parent(), SampleValuePayload{value});
   }
 }
 
@@ -448,22 +381,24 @@ void MgddInternalNode::MaybeOriginateUpdate() {
     last_pushed_estimator_ = model_.Estimator();
   }
 
+  OriginateUpdate(std::move(payload));
+}
+
+// Stamps the next version on `payload` and roots its causal chain: the
+// trace id is a pure function of (root, version), the originate span its
+// root, and every child copy carries that context.
+void MgddInternalNode::OriginateUpdate(GlobalModelUpdatePayload payload) {
   payload.version = ++update_version_;
   ++updates_originated_;
   Metrics().updates_originated->Increment();
   Metrics().update_slots->Record(static_cast<double>(payload.updates.size()));
-  BroadcastToChildren(payload, OriginateUpdateContext(payload.version));
-}
-
-// Roots an update's causal chain: the trace id is a pure function of
-// (root, version), the originate span its root. Returns the context the
-// broadcast stamps onto every child copy.
-obs::TraceContext MgddInternalNode::OriginateUpdateContext(uint64_t version) {
-  const uint64_t trace = obs::DeriveUpdateTraceId(id(), version);
+  const uint64_t trace = obs::DeriveUpdateTraceId(id(), payload.version);
   const uint64_t span = obs::DeriveSpanId(trace, id(), /*salt=*/level());
   obs::EmitCausalSpan("mgdd.originate_update", id(), sim()->Now(), trace,
                       span, /*parent_span=*/0);
-  return obs::TraceContext{trace, span};
+  BroadcastToChildren(
+      std::make_shared<const GlobalModelUpdatePayload>(std::move(payload)),
+      obs::TraceContext{trace, span});
 }
 
 void MgddInternalNode::BroadcastFullSnapshot() {
@@ -478,11 +413,7 @@ void MgddInternalNode::BroadcastFullSnapshot() {
   }
   // Keep the diff baseline in step with what the replicas now hold.
   last_broadcast_sample_ = snapshot;
-  payload.version = ++update_version_;
-  ++updates_originated_;
-  Metrics().updates_originated->Increment();
-  Metrics().update_slots->Record(static_cast<double>(payload.updates.size()));
-  BroadcastToChildren(payload, OriginateUpdateContext(payload.version));
+  OriginateUpdate(std::move(payload));
 }
 
 std::vector<uint8_t> MgddInternalNode::SaveState() const {
@@ -532,36 +463,14 @@ void MgddInternalNode::OnRestart(bool restored_from_checkpoint,
   }
   // Announce upward: the root answers any rejoin with a full snapshot,
   // which this node relays down — healing its own subtree's replicas.
-  Rejoin().announces->Increment();
-  RejoinAnnouncePayload ann;
-  ann.incarnation = sim()->Incarnation(id());
-  ann.restored_seen = model_.total_seen();
-  ann.from_checkpoint = restored_from_checkpoint;
-  ann.recovered = false;
-  Message msg;
-  msg.from = id();
-  msg.to = parent();
-  msg.kind = kMsgRejoinAnnounce;
-  msg.size_numbers = ann.SizeNumbers();
-  msg.payload = ann;
-  sim()->Send(std::move(msg));
+  SendRejoinAnnounce(*this, model_.total_seen(), restored_from_checkpoint,
+                     /*recovered=*/false);
 }
 
 void MgddInternalNode::BroadcastToChildren(
-    const GlobalModelUpdatePayload& payload, const obs::TraceContext& ctx) {
-  if (children().empty()) return;
-  const auto shared = std::make_shared<const GlobalModelUpdatePayload>(payload);
-  const size_t size = payload.SizeNumbers(options_.model.dimensions);
+    const SharedGlobalModelUpdate& update, const obs::TraceContext& ctx) {
   for (NodeId child : children()) {
-    Message msg;
-    msg.from = id();
-    msg.to = child;
-    msg.kind = kMsgGlobalModelUpdate;
-    msg.size_numbers = size;
-    msg.payload = SharedUpdate(shared);
-    msg.trace_id = ctx.trace_id;
-    msg.trace_parent_span = ctx.parent_span;
-    sim()->Send(std::move(msg));
+    Send(child, update, ctx.trace_id, ctx.parent_span);
   }
 }
 

@@ -35,11 +35,11 @@
 #include "core/faulty_sensor.h"
 #include "core/mdef.h"
 #include "core/outlier_observer.h"
-#include "core/protocol.h"
 #include "data/validate.h"
 #include "obs/trace_context.h"
 #include "net/network.h"
 #include "net/node.h"
+#include "net/protocol.h"
 #include "stats/kde.h"
 #include "util/rng.h"
 
@@ -127,8 +127,6 @@ class MgddLeafNode : public Node {
   bool degraded() const;
 
  private:
-  // Announces rejoin/recovery to the parent.
-  void SendAnnounce(bool restored_from_checkpoint, bool recovered);
   // Closes the recovery window once the leaf is capable again.
   void MaybeFinishRecovery();
 
@@ -180,14 +178,14 @@ class MgddInternalNode : public Node {
 
  private:
   void HandleSampleValue(const Point& value);
-  void HandleRejoinAnnounce(const Message& msg);
+  void HandleRejoinAnnounce(const RejoinAnnouncePayload& ann);
   void MaybeOriginateUpdate();
   // Pushes every slot of the current sample to the children (root only).
   void BroadcastFullSnapshot();
-  // Roots a new update chain (emits the originate span) and returns the
-  // trace context the broadcast stamps onto every child copy.
-  obs::TraceContext OriginateUpdateContext(uint64_t version);
-  void BroadcastToChildren(const GlobalModelUpdatePayload& payload,
+  // Versions `payload`, roots its update chain (emits the originate span)
+  // and broadcasts it to the children (root only).
+  void OriginateUpdate(GlobalModelUpdatePayload payload);
+  void BroadcastToChildren(const SharedGlobalModelUpdate& update,
                            const obs::TraceContext& ctx);
 
   MgddOptions options_;

@@ -1,8 +1,8 @@
 #include "core/query_processing.h"
 
 #include <utility>
+#include <variant>
 
-#include "core/protocol.h"
 #include "core/range_query.h"
 
 #include "util/check.h"
@@ -67,18 +67,9 @@ void QuerySensorNode::OnReading(const Point& value) {
 }
 
 void QuerySensorNode::HandleMessage(const Message& msg) {
-  if (msg.kind != kMsgQueryRequest) return;
-  const auto& request =
-      std::any_cast<const QueryRequestPayload&>(msg.payload);
-  const QueryPartialPayload part = AnswerFromModel(model_, request.query);
-
-  Message reply;
-  reply.from = id();
-  reply.to = msg.from;
-  reply.kind = kMsgQueryResponse;
-  reply.size_numbers = 5;  // id + count + weighted_sum + total + leaves
-  reply.payload = part;
-  sim()->Send(std::move(reply));
+  const auto* request = std::get_if<QueryRequestPayload>(&msg.payload);
+  if (request == nullptr) return;
+  Send(msg.from, AnswerFromModel(model_, request->query));
 }
 
 QueryAggregatorNode::QueryAggregatorNode(double response_deadline)
@@ -105,15 +96,7 @@ void QueryAggregatorNode::Disseminate(const AggregateQuery& query,
   SENSORD_CHECK(inserted && "duplicate in-flight query id");
   (void)it;
 
-  for (NodeId child : children()) {
-    Message msg;
-    msg.from = id();
-    msg.to = child;
-    msg.kind = kMsgQueryRequest;
-    msg.size_numbers = 2 * query.lo.size() + 3;  // box + id/kind/dim
-    msg.payload = QueryRequestPayload{query};
-    sim()->Send(std::move(msg));
-  }
+  for (NodeId child : children()) Send(child, QueryRequestPayload{query});
 
   if (children().empty()) {
     // Degenerate aggregator with no subtree: resolve immediately.
@@ -144,36 +127,20 @@ void QueryAggregatorNode::Resolve(uint32_t query_id) {
       pending.callback(FinalizeAnswer(pending.query, pending.accumulated));
     }
   } else if (parent() != kNoNode) {
-    Message msg;
-    msg.from = id();
-    msg.to = parent();
-    msg.kind = kMsgQueryResponse;
-    msg.size_numbers = 5;
-    msg.payload = pending.accumulated;
-    sim()->Send(std::move(msg));
+    Send(parent(), pending.accumulated);
   }
   pending_.erase(it);
 }
 
 void QueryAggregatorNode::HandleMessage(const Message& msg) {
-  switch (msg.kind) {
-    case kMsgQueryRequest: {
-      const auto& request =
-          std::any_cast<const QueryRequestPayload&>(msg.payload);
-      Disseminate(request.query, /*local_origin=*/false, nullptr);
-      break;
-    }
-    case kMsgQueryResponse: {
-      const auto& part =
-          std::any_cast<const QueryPartialPayload&>(msg.payload);
-      const auto it = pending_.find(part.query_id);
-      if (it == pending_.end() || it->second.resolved) break;  // late reply
-      Accumulate(&it->second, part);
-      if (--it->second.awaiting == 0) Resolve(part.query_id);
-      break;
-    }
-    default:
-      break;
+  if (const auto* request = std::get_if<QueryRequestPayload>(&msg.payload)) {
+    Disseminate(request->query, /*local_origin=*/false, nullptr);
+  } else if (const auto* part =
+                 std::get_if<QueryPartialPayload>(&msg.payload)) {
+    const auto it = pending_.find(part->query_id);
+    if (it == pending_.end() || it->second.resolved) return;  // late reply
+    Accumulate(&it->second, *part);
+    if (--it->second.awaiting == 0) Resolve(part->query_id);
   }
 }
 

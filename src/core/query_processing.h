@@ -27,24 +27,11 @@
 #include "core/density_model.h"
 #include "net/network.h"
 #include "net/node.h"
+#include "net/protocol.h"
 #include "util/math_utils.h"
 #include "util/rng.h"
 
 namespace sensord {
-
-/// An aggregate over the window values inside an axis-aligned box.
-struct AggregateQuery {
-  enum class Kind {
-    kCount,     ///< estimated number of window values in the box
-    kFraction,  ///< that count over the total pooled window size
-    kAverage,   ///< estimated mean of coordinate `average_dim` in the box
-  };
-
-  uint32_t id = 0;
-  Kind kind = Kind::kCount;
-  Point lo, hi;
-  size_t average_dim = 0;
-};
 
 /// A resolved query.
 struct QueryAnswer {
@@ -56,20 +43,6 @@ struct QueryAnswer {
 
 /// Invoked at the injection node when a query resolves.
 using QueryCallback = std::function<void(const QueryAnswer&)>;
-
-/// Partial aggregate carried by kMsgQueryResponse.
-struct QueryPartialPayload {
-  uint32_t query_id = 0;
-  double count = 0.0;         ///< estimated in-box values in this subtree
-  double weighted_sum = 0.0;  ///< sum of (avg * count) for kAverage
-  double window_total = 0.0;  ///< pooled window size of this subtree
-  uint32_t leaves = 0;        ///< leaves that contributed
-};
-
-/// Payload of kMsgQueryRequest.
-struct QueryRequestPayload {
-  AggregateQuery query;
-};
 
 /// A leaf sensor that maintains a density model of its own stream and
 /// answers queries from it.

@@ -2,44 +2,27 @@
 //
 // Messages exchanged between simulated sensor nodes.
 //
-// The transport layer is application-agnostic: a message carries an opaque
-// payload (std::any) plus the metadata the accounting layer needs — a kind
-// tag for per-category statistics and a size, in numbers, under the paper's
-// "16-bit architecture, 2 bytes per number" convention (Section 10.3). The
-// detection algorithms in src/core define the payload structs and register
-// their own kind values.
+// A message carries one payload of the closed wire protocol (net/protocol.h)
+// plus transport and tracing metadata. Its kind (for per-category
+// statistics) and its size in numbers (the paper's "16-bit architecture,
+// 2 bytes per number" accounting, Section 10.3) are not stored: both are
+// derived from the payload, so a sender cannot mislabel or mis-size one.
 
 #ifndef SENSORD_NET_MESSAGE_H_
 #define SENSORD_NET_MESSAGE_H_
 
-#include <any>
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <variant>
+
+#include "net/protocol.h"
 
 namespace sensord {
-
-/// Identifier of a simulated node; assigned densely from 0 by the Simulator.
-using NodeId = uint32_t;
-
-/// Sentinel for "no node" (e.g. the root's parent).
-inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
-
-/// Application-defined message category. Values below 100 are reserved for
-/// the algorithms shipped with sensord (see core/protocol.h) and for the
-/// transport layer; applications embedding the simulator may use 100+.
-using MessageKind = uint16_t;
-
-/// Transport-layer acknowledgement (see net/transport.h). Infrastructure:
-/// consumed by the Simulator's receive path, never handed to a Node.
-inline constexpr MessageKind kMsgTransportAck = 99;
 
 /// A message in flight.
 struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
-  MessageKind kind = 0;
-  /// Payload size in numeric values; the stats layer converts to bytes.
-  size_t size_numbers = 0;
   /// Transport sequence number on the (from, to) link; 0 for unreliable
   /// datagrams. Stamped by ReliableTransport on reliable sends and echoed
   /// back by acks (where it names the acked data message).
@@ -52,13 +35,23 @@ struct Message {
   /// Causal trace context (DESIGN.md §11): the trace this message belongs to
   /// and the span that caused its send, both 0 when untraced. Raw ids, not
   /// obs types, so net/ stays independent of the obs layer. Out-of-band
-  /// metadata like transport_seq: not charged to size_numbers, and carried
+  /// metadata like transport_seq: not charged to size_numbers(), and carried
   /// verbatim through transport retransmits (the transport retains the whole
   /// Message) so a retransmitted report still joins its original chain.
   uint64_t trace_id = 0;
   uint64_t trace_parent_span = 0;
-  /// Opaque payload; receivers std::any_cast to the struct the kind implies.
-  std::any payload;
+  /// What the message carries; receivers std::get_if the payload they
+  /// handle and ignore the rest.
+  Payload payload;
+
+  /// The protocol kind of the payload.
+  MessageKind kind() const { return kMessageKinds[payload.index()].kind; }
+
+  /// Payload size in numeric values; the stats layer converts to bytes.
+  size_t size_numbers() const {
+    return std::visit(
+        [](const auto& p) { return PayloadBody(p).SizeNumbers(); }, payload);
+  }
 };
 
 }  // namespace sensord

@@ -115,24 +115,37 @@ std::vector<NodeId> Simulator::Instantiate(
   return ids;
 }
 
+void Node::Send(NodeId to, Payload payload, uint64_t trace_id,
+                uint64_t trace_parent_span) const {
+  Message msg;
+  msg.from = id_;
+  msg.to = to;
+  msg.trace_id = trace_id;
+  msg.trace_parent_span = trace_parent_span;
+  msg.payload = std::move(payload);
+  sim_->Send(std::move(msg));
+}
+
 void Simulator::Send(Message msg) {
   SENSORD_CHECK_LT(msg.from, nodes_.size());
   SENSORD_CHECK_LT(msg.to, nodes_.size());
   if (!faults_.IsNodeUp(msg.from, Now())) return;  // dead radio: no send
-  if (options_.transport.reliable && msg.kind != kMsgTransportAck) {
+  if (options_.transport.reliable && msg.kind() != kMsgTransportAck) {
     transport_->SendReliable(std::move(msg));
     return;
   }
-  Transmit(msg);
+  Transmit(std::move(msg));
 }
 
-void Simulator::Transmit(const Message& msg) {
+void Simulator::Transmit(Message msg) {
+  const MessageKind kind = msg.kind();
+  const size_t size_numbers = msg.size_numbers();
   stats_.RecordSend(msg);
   obs::FlightRecorder::Record(msg.from, obs::FlightEventKind::kSend, Now(),
-                              msg.to, msg.kind);
+                              msg.to, kind);
   energy_[msg.from] += options_.tx_cost_per_message +
                        options_.tx_cost_per_number *
-                           static_cast<double>(msg.size_numbers);
+                           static_cast<double>(size_numbers);
   // The legacy uniform loss model runs first and consumes loss_rng_ exactly
   // as it always has, so configurations that never touch the fault schedule
   // or transport replay the pre-transport message trace bit for bit.
@@ -140,7 +153,7 @@ void Simulator::Transmit(const Message& msg) {
       loss_rng_.Bernoulli(options_.drop_probability)) {
     stats_.RecordDrop();
     obs::FlightRecorder::Record(msg.from, obs::FlightEventKind::kDrop, Now(),
-                                msg.to, msg.kind);
+                                msg.to, kind);
     return;
   }
   const TransmissionPlan plan = faults_.DecideTransmission(msg.from, msg.to,
@@ -148,28 +161,38 @@ void Simulator::Transmit(const Message& msg) {
   if (plan.drop) {
     stats_.RecordDrop();
     obs::FlightRecorder::Record(msg.from, obs::FlightEventKind::kDrop, Now(),
-                                msg.to, msg.kind);
+                                msg.to, kind);
     return;
   }
-  for (double extra : plan.extra_delays) {
-    const SimTime at = queue_.Now() + options_.hop_latency + extra;
-    queue_.ScheduleAt(at, [this, m = msg]() mutable { Deliver(std::move(m)); });
+  // Each surviving copy is delivered by its own event. Duplicates copy the
+  // message; the last copy (on a plain hop, the only one) takes it whole.
+  const auto deliver_after = [this](double extra, Message m) {
+    queue_.ScheduleAt(queue_.Now() + options_.hop_latency + extra,
+                      [this, m = std::move(m)]() mutable {
+                        Deliver(std::move(m));
+                      });
+  };
+  const size_t copies = plan.extra_delays.size();
+  for (size_t i = 0; i + 1 < copies; ++i) {
+    deliver_after(plan.extra_delays[i], msg);
   }
+  if (copies > 0) deliver_after(plan.extra_delays.back(), std::move(msg));
 }
 
 void Simulator::Deliver(Message msg) {
+  const MessageKind kind = msg.kind();
   if (!faults_.IsNodeUp(msg.to, Now())) {
     // The copy arrived at a crashed receiver: lost like any other drop.
     stats_.RecordDrop();
     obs::FlightRecorder::Record(msg.to, obs::FlightEventKind::kDrop, Now(),
-                                msg.from, msg.kind);
+                                msg.from, kind);
     return;
   }
   energy_[msg.to] += options_.rx_cost_per_message +
                      options_.rx_cost_per_number *
-                         static_cast<double>(msg.size_numbers);
+                         static_cast<double>(msg.size_numbers());
   if (delivery_tap_) delivery_tap_(msg);
-  if (msg.kind == kMsgTransportAck) {
+  if (kind == kMsgTransportAck) {
     obs::FlightRecorder::Record(msg.to, obs::FlightEventKind::kAck, Now(),
                                 msg.from,
                                 static_cast<int64_t>(msg.transport_seq));
@@ -180,7 +203,7 @@ void Simulator::Deliver(Message msg) {
     return;  // duplicate, suppressed (and re-acked) by the transport
   }
   obs::FlightRecorder::Record(msg.to, obs::FlightEventKind::kDeliver, Now(),
-                              msg.from, msg.kind);
+                              msg.from, kind);
   nodes_[msg.to]->HandleMessage(msg);
 }
 

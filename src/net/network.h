@@ -213,7 +213,7 @@ class Simulator {
 
   /// One physical transmission attempt: accounting, loss model, fault
   /// schedule, then delivery scheduling for each surviving copy.
-  void Transmit(const Message& msg);
+  void Transmit(Message msg);
 
   /// Arrival of one physical copy at the receiver.
   void Deliver(Message msg);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/message.h"
+#include "net/protocol.h"
 #include "util/math_utils.h"
 
 namespace sensord {
@@ -93,6 +94,12 @@ class Node {
 
   /// The simulator this node is registered with; valid after registration.
   Simulator* sim() const { return sim_; }
+
+  /// Sends `payload` from this node to `to` (Simulator::Send); the message's
+  /// kind and wire size follow from the payload. `trace_id` and
+  /// `trace_parent_span` carry the causal trace context, 0 when untraced.
+  void Send(NodeId to, Payload payload, uint64_t trace_id = 0,
+            uint64_t trace_parent_span = 0) const;
 
  private:
   friend class Simulator;

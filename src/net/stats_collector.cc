@@ -1,7 +1,7 @@
 #include "net/stats_collector.h"
 
 #include <array>
-#include <cstdio>
+#include <cstddef>
 #include <string>
 
 #include "obs/metrics.h"
@@ -9,50 +9,20 @@
 namespace sensord {
 namespace {
 
-// Human-readable labels for the well-known kinds in core/protocol.h. The
-// transport layer is application-agnostic, so the names are mirrored here
-// rather than included — keep in sync with core/protocol.h.
-const char* KindLabel(MessageKind kind) {
-  switch (kind) {
-    case 1: return "sample_value";
-    case 2: return "outlier_report";
-    case 3: return "global_model_update";
-    case 4: return "raw_reading";
-    case 5: return "query_request";
-    case 6: return "query_response";
-    case 7: return "rejoin_announce";
-    case 8: return "rejoin_resync";
-    case kMsgTransportAck: return "transport_ack";
-    default: return nullptr;
-  }
-}
-
-std::string CounterName(MessageKind kind) {
-  const char* label = KindLabel(kind);
-  return label != nullptr ? std::string("net.messages.") + label
-                          : "net.messages.kind_" + std::to_string(kind);
-}
-
-obs::Counter* KindCounter(MessageKind kind) {
-  auto& registry = obs::MetricsRegistry::Global();
-  // Fast path: the well-known protocol kinds resolve through a small cache
-  // so steady-state sends skip the registry's name lookup entirely.
-  constexpr MessageKind kCached = 8;
-  static std::array<obs::Counter*, kCached> cache = [] {
-    auto& reg = obs::MetricsRegistry::Global();
-    std::array<obs::Counter*, kCached> out{};
-    for (MessageKind k = 0; k < kCached; ++k) {
-      out[k] = reg.GetCounter(CounterName(k));
+// The per-kind counters, indexed like kMessageKinds. Registered together on
+// first use, so a dump lists every protocol kind (0 if never sent) and no
+// send formats a name or looks one up.
+const std::array<obs::Counter*, kMessageKinds.size()>& KindCounters() {
+  static const auto counters = [] {
+    auto& registry = obs::MetricsRegistry::Global();
+    std::array<obs::Counter*, kMessageKinds.size()> out{};
+    for (size_t i = 0; i < kMessageKinds.size(); ++i) {
+      out[i] = registry.GetCounter(std::string("net.messages.") +
+                                   kMessageKinds[i].label);
     }
     return out;
   }();
-  if (kind < kCached) return cache[kind];
-  if (kind == kMsgTransportAck) {
-    static obs::Counter* const ack_counter =
-        obs::MetricsRegistry::Global().GetCounter("net.messages.transport_ack");
-    return ack_counter;
-  }
-  return registry.GetCounter(CounterName(kind));
+  return counters;
 }
 
 struct NetMetrics {
@@ -72,21 +42,18 @@ const NetMetrics& Metrics() {
 }  // namespace
 
 void StatsCollector::RecordSend(const Message& msg) {
+  const size_t size_numbers = msg.size_numbers();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ++total_messages_;
-    total_numbers_ += msg.size_numbers;
-    if (msg.kind < kSmallKinds) {
-      ++by_small_kind_[msg.kind];
-    } else {
-      ++by_large_kind_[msg.kind];
-    }
+    total_numbers_ += size_numbers;
+    ++by_kind_[msg.payload.index()];
   }
   // Mirror into the process-wide registry (cumulative across Reset()).
   // The registry counters are lock-free; no need to hold mu_ here.
   Metrics().messages_total->Increment();
-  Metrics().numbers_total->Increment(msg.size_numbers);
-  KindCounter(msg.kind)->Increment();
+  Metrics().numbers_total->Increment(size_numbers);
+  KindCounters()[msg.payload.index()]->Increment();
 }
 
 void StatsCollector::RecordDrop() {
@@ -99,9 +66,10 @@ void StatsCollector::RecordDrop() {
 
 uint64_t StatsCollector::MessagesOfKind(MessageKind kind) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (kind < kSmallKinds) return by_small_kind_[kind];
-  const auto it = by_large_kind_.find(kind);
-  return it == by_large_kind_.end() ? 0 : it->second;
+  for (size_t i = 0; i < kMessageKinds.size(); ++i) {
+    if (kMessageKinds[i].kind == kind) return by_kind_[i];
+  }
+  return 0;
 }
 
 void StatsCollector::Reset() {
@@ -111,8 +79,7 @@ void StatsCollector::Reset() {
   total_messages_ = 0;
   total_numbers_ = 0;
   dropped_ = 0;
-  by_small_kind_.fill(0);
-  by_large_kind_.clear();
+  by_kind_.fill(0);
 }
 
 }  // namespace sensord

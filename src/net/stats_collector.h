@@ -9,17 +9,17 @@
 //
 // Every RecordSend is also mirrored into the global obs::MetricsRegistry as
 // `net.messages.total`, `net.numbers.total`, and a per-kind counter
-// `net.messages.<kind>`. The registry counters are process-cumulative: they
-// keep counting across Reset() and across multiple simulators, which makes
-// them suitable for run-level telemetry but not for per-experiment deltas —
-// the per-instance accessors below remain the authoritative per-run numbers.
+// `net.messages.<label>` for each kind of net/protocol.h. The registry
+// counters are process-cumulative: they keep counting across Reset() and
+// across multiple simulators, which makes them suitable for run-level
+// telemetry but not for per-experiment deltas — the per-instance accessors
+// below remain the authoritative per-run numbers.
 
 #ifndef SENSORD_NET_STATS_COLLECTOR_H_
 #define SENSORD_NET_STATS_COLLECTOR_H_
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <mutex>
 
 #include "net/message.h"
@@ -55,7 +55,7 @@ class StatsCollector {
     return total_messages_;
   }
 
-  /// Messages of one kind.
+  /// Messages of one kind; 0 for a kind outside the protocol.
   uint64_t MessagesOfKind(MessageKind kind) const;
 
   /// Total payload volume in numbers.
@@ -82,16 +82,12 @@ class StatsCollector {
   void Reset();
 
  private:
-  // Kinds below this bound (all the shipped protocol + transport kinds) tally
-  // into a flat array; rare application-defined kinds fall back to the map.
-  static constexpr MessageKind kSmallKinds = 128;
-
   mutable std::mutex mu_;
   uint64_t total_messages_ GUARDED_BY(mu_) = 0;
   uint64_t total_numbers_ GUARDED_BY(mu_) = 0;
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
-  std::array<uint64_t, kSmallKinds> by_small_kind_ GUARDED_BY(mu_) = {};
-  std::map<MessageKind, uint64_t> by_large_kind_ GUARDED_BY(mu_);
+  // Indexed like kMessageKinds: by the message's payload alternative.
+  std::array<uint64_t, kMessageKinds.size()> by_kind_ GUARDED_BY(mu_) = {};
 };
 
 }  // namespace sensord

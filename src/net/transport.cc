@@ -37,13 +37,13 @@ const TransportMetrics& Metrics() {
 }  // namespace
 
 void ReliableTransport::SendReliable(Message msg) {
-  SENSORD_DCHECK_NE(msg.kind, kMsgTransportAck);
+  SENSORD_DCHECK_NE(msg.kind(), kMsgTransportAck);
   const uint64_t seq = ++next_seq_[{msg.from, msg.to}];
   msg.transport_seq = seq;
   msg.transport_epoch = incarnation(msg.from);
   const PendingKey key{msg.from, msg.to, seq};
   Pending& entry = pending_[key];
-  entry.msg = msg;
+  entry.msg = std::move(msg);
   entry.attempts = 1;
   entry.wait = options_.ack_timeout;
   sim_->Transmit(entry.msg);
@@ -74,13 +74,12 @@ bool ReliableTransport::AcceptData(const Message& msg) {
   Message ack;
   ack.from = msg.to;
   ack.to = msg.from;
-  ack.kind = kMsgTransportAck;
-  ack.size_numbers = 1;  // the sequence number
+  ack.payload = TransportAckPayload{};
   ack.transport_seq = msg.transport_seq;
   ack.transport_epoch = msg.transport_epoch;
   ++acks_sent_;
   Metrics().acks->Increment();
-  sim_->Transmit(ack);
+  sim_->Transmit(std::move(ack));
 
   if (!first) {
     ++dup_suppressed_;

@@ -33,10 +33,10 @@
 #include "net/event_queue.h"     // IWYU pragma: export
 #include "net/fault_schedule.h"  // IWYU pragma: export
 #include "net/hierarchy.h"       // IWYU pragma: export
-#include "net/leader_election.h" // IWYU pragma: export
 #include "net/message.h"         // IWYU pragma: export
 #include "net/network.h"         // IWYU pragma: export
 #include "net/node.h"            // IWYU pragma: export
+#include "net/protocol.h"        // IWYU pragma: export
 #include "net/stats_collector.h" // IWYU pragma: export
 #include "net/transport.h"       // IWYU pragma: export
 
@@ -49,7 +49,6 @@
 #include "core/mdef.h"             // IWYU pragma: export
 #include "core/mgdd.h"             // IWYU pragma: export
 #include "core/outlier_observer.h" // IWYU pragma: export
-#include "core/protocol.h"         // IWYU pragma: export
 #include "core/query_processing.h" // IWYU pragma: export
 #include "core/range_query.h"      // IWYU pragma: export
 

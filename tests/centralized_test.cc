@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/protocol.h"
+#include "net/protocol.h"
 #include "net/hierarchy.h"
 
 namespace sensord {

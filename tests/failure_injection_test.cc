@@ -10,7 +10,7 @@
 
 #include "core/d3.h"
 #include "core/mgdd.h"
-#include "core/protocol.h"
+#include "net/protocol.h"
 #include "net/hierarchy.h"
 #include "net/network.h"
 #include "util/rng.h"
@@ -39,11 +39,19 @@ D3Options SmallD3() {
 }
 
 TEST(FailureInjectionTest, NodesTolerateUnknownMessageKinds) {
-  Simulator sim;
+  // Stray traffic a detector does not handle — here a query response, which
+  // only query aggregators consume — must be ignored by every node type of
+  // both detectors.
+  QueryPartialPayload stray;
+  stray.query_id = 9;
+  stray.count = 3.0;
+  stray.leaves = 1;
+  auto layout = BuildGridHierarchy(2, 2);
+
+  Simulator d3_sim;
   Rng rng(1);
   CountingObserver observer;
-  auto layout = BuildGridHierarchy(2, 2);
-  const auto ids = sim.Instantiate(
+  const auto d3_ids = d3_sim.Instantiate(
       *layout, [&](int, const HierarchyNodeSpec& spec)
                    -> std::unique_ptr<Node> {
         if (spec.level == 1) {
@@ -54,18 +62,36 @@ TEST(FailureInjectionTest, NodesTolerateUnknownMessageKinds) {
         opts.model = LeaderModelConfig(SmallD3().model, 2, 0.5, spec.level);
         return std::make_unique<D3ParentNode>(opts, rng.Split(), &observer);
       });
-
-  // Stray application-level kinds must be ignored by every node type.
-  for (NodeId to : ids) {
-    Message msg;
-    msg.from = ids[0];
-    msg.to = to;
-    msg.kind = 200;  // unknown
-    msg.payload = std::string("junk");
-    sim.Send(std::move(msg));
+  for (NodeId to : d3_ids) {
+    d3_sim.node(d3_ids[0]).Send(to, stray);
   }
-  sim.RunUntil(1.0);  // must not crash or emit events
+  d3_sim.RunUntil(1.0);  // must not crash or emit events
   EXPECT_EQ(observer.count, 0);
+  EXPECT_EQ(d3_sim.stats().TotalMessages(), d3_ids.size());  // no replies
+
+  Simulator mgdd_sim;
+  MgddOptions mgdd;
+  mgdd.model.window_size = 400;
+  mgdd.model.sample_size = 64;
+  const auto mgdd_ids = mgdd_sim.Instantiate(
+      *layout, [&](int, const HierarchyNodeSpec& spec)
+                   -> std::unique_ptr<Node> {
+        if (spec.level == 1) {
+          return std::make_unique<MgddLeafNode>(mgdd, rng.Split(),
+                                                &observer);
+        }
+        MgddOptions opts = mgdd;
+        opts.model = LeaderModelConfig(mgdd.model, 2, 0.5, spec.level);
+        return std::make_unique<MgddInternalNode>(opts, rng.Split());
+      });
+  for (NodeId to : mgdd_ids) {
+    mgdd_sim.node(mgdd_ids[0]).Send(to, stray);
+  }
+  mgdd_sim.RunUntil(1.0);
+  EXPECT_EQ(observer.count, 0);
+  EXPECT_EQ(mgdd_sim.stats().TotalMessages(), mgdd_ids.size());
+  const auto& leaf = static_cast<const MgddLeafNode&>(mgdd_sim.node(0));
+  EXPECT_EQ(leaf.global_updates_received(), 0u);
 }
 
 TEST(FailureInjectionTest, SilentSensorDoesNotStallSiblings) {
@@ -143,13 +169,7 @@ TEST(FailureInjectionTest, DuplicateOutlierReportsAreIdempotentChecks) {
   report.source_seq = 42;
   const NodeId parent = sim.node(ids[0]).parent();
   for (int dup = 0; dup < 3; ++dup) {
-    Message msg;
-    msg.from = ids[0];
-    msg.to = parent;
-    msg.kind = kMsgOutlierReport;
-    msg.size_numbers = 3;
-    msg.payload = report;
-    sim.Send(std::move(msg));
+    sim.node(ids[0]).Send(parent, report);
   }
   sim.RunUntil(t + 1.0);
   // Three duplicate checks, three identical verdicts; the parent model's

@@ -164,6 +164,16 @@ class TestPairingRule(unittest.TestCase):
             code, out = run_lint("--root", tmp, "--rules", "pairing")
             self.assertEqual(code, 0, out)
 
+    def test_entry_for_missing_source_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._scratch_repo(
+                tmp, with_test=True,
+                with_map_line="src/core/deleted.cc tests/widget_test.cc")
+            code, out = run_lint("--root", tmp, "--rules", "pairing")
+            self.assertEqual(code, 1, out)
+            self.assertEqual(count_rule(out, "test-pairing"), 1, out)
+            self.assertIn("stale entry: src/core/deleted.cc", out)
+
     def test_repo_pairing_is_clean(self):
         code, out = run_lint("--rules", "pairing")
         self.assertEqual(code, 0, out)

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/d3.h"  // LeaderModelConfig
-#include "core/protocol.h"
+#include "net/protocol.h"
 #include "stats/bandwidth.h"
 #include "net/hierarchy.h"
 #include "net/network.h"

@@ -54,8 +54,7 @@ TEST(SimulatorTest, SendDeliversAfterLatency) {
   Message msg;
   msg.from = a;
   msg.to = b;
-  msg.kind = 42;
-  msg.size_numbers = 3;
+  msg.payload = RawReadingPayload{{0.1, 0.2, 0.3}};
   sim.Send(std::move(msg));
 
   auto& receiver = static_cast<ProbeNode&>(sim.node(b));
@@ -64,7 +63,8 @@ TEST(SimulatorTest, SendDeliversAfterLatency) {
   EXPECT_TRUE(receiver.received.empty());  // still in flight
   sim.RunUntil(0.3);
   ASSERT_EQ(receiver.received.size(), 1u);
-  EXPECT_EQ(receiver.received[0].kind, 42);
+  EXPECT_EQ(receiver.received[0].kind(), kMsgRawReading);
+  EXPECT_EQ(receiver.received[0].size_numbers(), 3u);
   EXPECT_EQ(receiver.received[0].from, a);
 }
 
@@ -76,13 +76,12 @@ TEST(SimulatorTest, StatsCountMessagesAndBytes) {
     Message msg;
     msg.from = a;
     msg.to = b;
-    msg.kind = 7;
-    msg.size_numbers = 2;
+    msg.payload = SampleValuePayload{{0.5, 0.5}};
     sim.Send(std::move(msg));
   }
   EXPECT_EQ(sim.stats().TotalMessages(), 5u);
-  EXPECT_EQ(sim.stats().MessagesOfKind(7), 5u);
-  EXPECT_EQ(sim.stats().MessagesOfKind(8), 0u);
+  EXPECT_EQ(sim.stats().MessagesOfKind(kMsgSampleValue), 5u);
+  EXPECT_EQ(sim.stats().MessagesOfKind(kMsgRawReading), 0u);
   EXPECT_EQ(sim.stats().TotalNumbers(), 10u);
   EXPECT_EQ(sim.stats().TotalBytes(2), 20u);
   EXPECT_DOUBLE_EQ(sim.stats().MessagesPerSecond(5.0), 1.0);
@@ -208,7 +207,7 @@ TEST(SimulatorTest, EnergyAccounting) {
   Message msg;
   msg.from = a;
   msg.to = b;
-  msg.size_numbers = 4;
+  msg.payload = SampleValuePayload{{0.1, 0.2, 0.3, 0.4}};
   sim.Send(std::move(msg));
   sim.RunUntil(1.0);
   EXPECT_DOUBLE_EQ(sim.EnergyConsumed(a), 1.0 + 0.4);  // tx

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/protocol.h"
+#include "net/protocol.h"
 #include "net/hierarchy.h"
 #include "util/rng.h"
 

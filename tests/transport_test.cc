@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,13 +30,17 @@ Simulator MakeReliableSim(double ack_timeout = 0.05, int max_retries = 5,
   return Simulator(opts);
 }
 
-Message Msg(NodeId from, NodeId to, MessageKind kind = 42) {
+// A one-number data message; `tag` tells messages apart at the receiver.
+Message Msg(NodeId from, NodeId to, double tag = 42) {
   Message msg;
   msg.from = from;
   msg.to = to;
-  msg.kind = kind;
-  msg.size_numbers = 1;
+  msg.payload = SampleValuePayload{{tag}};
   return msg;
+}
+
+double Tag(const Message& msg) {
+  return std::get<SampleValuePayload>(msg.payload).value[0];
 }
 
 TEST(TransportTest, CleanLinkDeliversOnceAndAcks) {
@@ -251,16 +256,16 @@ TEST(TransportTest, SenderAmnesiaRestartReusedSeqIsNotMisDeduped) {
   Simulator sim = MakeReliableSim();
   const NodeId a = sim.AddNode(std::make_unique<ProbeNode>());
   const NodeId b = sim.AddNode(std::make_unique<ProbeNode>());
-  sim.Send(Msg(a, b, /*kind=*/42));  // delivered as (epoch 0, seq 1)
+  sim.Send(Msg(a, b, /*tag=*/42));  // delivered as (epoch 0, seq 1)
   sim.faults().CrashNode(a, 0.1, 0.2, CrashKind::kAmnesia);
-  sim.ScheduleAt(0.3, [&sim, a, b] { sim.Send(Msg(a, b, /*kind=*/43)); });
+  sim.ScheduleAt(0.3, [&sim, a, b] { sim.Send(Msg(a, b, /*tag=*/43)); });
   sim.RunAll();
 
   EXPECT_EQ(sim.Incarnation(a), 1u);
   auto& receiver = static_cast<ProbeNode&>(sim.node(b));
   ASSERT_EQ(receiver.received.size(), 2u);
-  EXPECT_EQ(receiver.received[0].kind, 42);
-  EXPECT_EQ(receiver.received[1].kind, 43);
+  EXPECT_EQ(Tag(receiver.received[0]), 42);
+  EXPECT_EQ(Tag(receiver.received[1]), 43);
   // The second message reused seq 1 under the new epoch — and got through.
   EXPECT_EQ(receiver.received[1].transport_seq, 1u);
   EXPECT_EQ(receiver.received[1].transport_epoch, 1u);
@@ -281,18 +286,18 @@ TEST(TransportTest, StaleEpochCopyIsDroppedWithoutAck) {
   slow.reorder_probability = 1.0;
   slow.reorder_delay = 1.0;
   sim.faults().SetLinkFault(a, b, slow);
-  sim.Send(Msg(a, b, /*kind=*/42));  // epoch 0, seq 1; arrives ~t=1.001
+  sim.Send(Msg(a, b, /*tag=*/42));  // epoch 0, seq 1; arrives ~t=1.001
   sim.faults().CrashNode(a, 0.1, 0.2, CrashKind::kAmnesia);
   sim.ScheduleAt(0.3, [&sim, a, b] {
     sim.faults().SetLinkFault(a, b, LinkFault{});  // link is fast again
-    sim.Send(Msg(a, b, /*kind=*/43));              // epoch 1, seq 1
+    sim.Send(Msg(a, b, /*tag=*/43));              // epoch 1, seq 1
   });
   sim.RunAll();
 
   EXPECT_EQ(sim.transport().flushed_pending(), 1u);  // msg1 died with a
   auto& receiver = static_cast<ProbeNode&>(sim.node(b));
   ASSERT_EQ(receiver.received.size(), 1u);
-  EXPECT_EQ(receiver.received[0].kind, 43);
+  EXPECT_EQ(Tag(receiver.received[0]), 43);
   EXPECT_EQ(sim.transport().stale_epoch_dropped(), 1u);
   EXPECT_EQ(sim.transport().acks_sent(), 1u);  // only msg2 was acked
   EXPECT_EQ(sim.transport().PendingCount(), 0u);
@@ -320,15 +325,15 @@ std::vector<std::string> RunAndTapDeliveries(uint64_t fault_seed) {
     char line[128];
     std::snprintf(line, sizeof(line), "t=%.12f %u->%u kind=%u seq=%llu",
                   sim.Now(), msg.from, msg.to,
-                  static_cast<unsigned>(msg.kind),
+                  static_cast<unsigned>(msg.kind()),
                   static_cast<unsigned long long>(msg.transport_seq));
     log.emplace_back(line);
   });
 
   for (int i = 0; i < 30; ++i) {
     sim.ScheduleAt(0.1 * i, [&sim, a, b, c, i] {
-      sim.Send(Msg(a, b, /*kind=*/42));
-      if (i % 3 == 0) sim.Send(Msg(b, c, /*kind=*/43));
+      sim.Send(Msg(a, b, /*tag=*/42));
+      if (i % 3 == 0) sim.Send(Msg(b, c, /*tag=*/43));
     });
   }
   sim.RunAll();

@@ -497,7 +497,8 @@ def rule_thread_annotation(src):
 
 
 def load_pairing_map(path):
-    """Parses 'src/foo.cc tests/bar_test.cc' or 'src/foo.cc -' lines."""
+    """Parses 'src/foo.cc tests/bar_test.cc' or 'src/foo.cc -' lines into
+    {src path: (test path or '-', map line number)}."""
     mapping = {}
     if not os.path.exists(path):
         return mapping
@@ -511,7 +512,7 @@ def load_pairing_map(path):
                 raise SystemExit(
                     "%s:%d: expected '<src path> <test path|->'" %
                     (path, lineno))
-            mapping[parts[0]] = parts[1]
+            mapping[parts[0]] = (parts[1], lineno)
     return mapping
 
 
@@ -521,9 +522,9 @@ def rule_test_pairing(root, pairing_map):
         os.path.join(dirpath, f).replace(os.sep, "/")
         for dirpath, _, files in os.walk(os.path.join(root, "src"))
         for f in files if f.endswith(".cc"))
-    for abs_src in sources:
-        rel = os.path.relpath(abs_src, root).replace(os.sep, "/")
-        mapped = pairing_map.get(rel)
+    rels = [os.path.relpath(s, root).replace(os.sep, "/") for s in sources]
+    for rel in rels:
+        mapped = pairing_map.get(rel, (None, 0))[0]
         if mapped == "-":
             continue
         if mapped is not None:
@@ -541,6 +542,14 @@ def rule_test_pairing(root, pairing_map):
             out.append(Violation(
                 RULE_TEST_PAIRING, rel, 1, "map:" + os.path.basename(rel),
                 "test_pairing.map points at missing %s" % mapped))
+    # Like a stale baseline entry, a map line whose source is gone must go.
+    live = set(rels)
+    for src, (_, lineno) in sorted(pairing_map.items()):
+        if src not in live:
+            out.append(Violation(
+                RULE_TEST_PAIRING, "tools/lint/test_pairing.map", lineno,
+                "stale:" + src,
+                "stale entry: %s is not a src/ translation unit" % src))
     return out
 
 
