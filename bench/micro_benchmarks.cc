@@ -11,10 +11,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/density_model.h"
 #include "core/mdef.h"
+#include "core/mgdd.h"
+#include "net/network.h"
+#include "net/node.h"
+#include "net/protocol.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -280,10 +285,11 @@ void BM_DensityModelObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityModelObserve)->Arg(500)->Arg(2000);
 
-// The zero-realloc rebuild contract: once the flat scratch and the
-// estimator ping-pong buffers are warm, materializing a fresh estimator
-// performs a small constant number of O(d) allocations and zero per-point
-// ones — allocs_per_rebuild must not grow from Arg(512) to Arg(2048).
+// The zero-realloc rebuild contract: once the sample buffer and the
+// changed-row scratch are warm, merging the changed chains into a fresh
+// estimator performs a small constant number of O(d) allocations and zero
+// per-point ones — allocs_per_rebuild must not grow from Arg(512) to
+// Arg(2048).
 void BM_DensityModelRebuild(benchmark::State& state) {
   DensityModelConfig cfg;
   cfg.dimensions = 2;
@@ -299,9 +305,9 @@ void BM_DensityModelRebuild(benchmark::State& state) {
     model.Observe(p);
   };
   for (size_t i = 0; i < cfg.window_size; ++i) feed();
-  model.Estimator();  // allocates the scratch and the first estimator
+  model.Estimator();  // allocates the sample buffer and first estimator
   feed();
-  model.Estimator();  // establishes the steady-state ping-pong
+  model.Estimator();  // the first merge rebuild
   uint64_t rebuild_allocs = 0;
   for (auto _ : state) {
     feed();
@@ -316,6 +322,50 @@ void BM_DensityModelRebuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DensityModelRebuild)->Arg(512)->Arg(2048);
+
+class SilentNode : public Node {
+ public:
+  void HandleMessage(const Message&) override {}
+  void OnReading(const Point&) override {}
+};
+
+// One kEveryChange step at an MGDD leaf: a global update naming one slot
+// is delivered to the leaf's replica, then its estimator is rebuilt (a
+// merge of that slot since the replica-merge change). The delivery through
+// the simulator is part of the measured step.
+void BM_MgddReplicaRebuild(benchmark::State& state) {
+  const size_t slots = static_cast<size_t>(state.range(0));
+  MgddOptions opts;
+  opts.model.dimensions = 2;
+  opts.model.sample_size = slots;
+  Simulator sim;
+  auto owned = std::make_unique<MgddLeafNode>(opts, Rng(20), nullptr);
+  MgddLeafNode* leaf = owned.get();
+  const NodeId leaf_id = sim.AddNode(std::move(owned));
+  const NodeId root = sim.AddNode(std::make_unique<SilentNode>());
+  Rng values(21);
+  double now = 0.0;
+  const auto update = [&](size_t first, size_t count) {
+    auto payload = std::make_shared<GlobalModelUpdatePayload>();
+    payload->stddevs = {0.08, 0.1};
+    for (size_t s = first; s < first + count; ++s) {
+      payload->updates.push_back(GlobalSlotUpdate{
+          static_cast<uint32_t>(s),
+          {Clamp(values.Gaussian(0.4, 0.08), 0.0, 1.0),
+           Clamp(values.Gaussian(0.5, 0.1), 0.0, 1.0)}});
+    }
+    sim.node(root).Send(leaf_id, SharedGlobalModelUpdate(std::move(payload)));
+    sim.RunUntil(now += 1.0);
+  };
+  update(0, slots);  // every slot valid
+  leaf->GlobalEstimator();
+  for (auto _ : state) {
+    update(values.UniformUint64(slots), 1);
+    benchmark::DoNotOptimize(&leaf->GlobalEstimator());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MgddReplicaRebuild)->Arg(500);
 
 // --- obs layer overhead -----------------------------------------------------
 

@@ -51,6 +51,9 @@ bool DensityModel::Observe(const Point& p) {
   const obs::ScopedTimer timer(Metrics().observe_ns);
   Metrics().observes->Increment();
   for (size_t i = 0; i < config_.dimensions; ++i) sketches_[i].Add(p[i]);
+  // Log the sample's changes from the first estimator on, for the merge
+  // rebuild; a model nobody queries logs nothing.
+  if (cached_.has_value()) sample_.StartChangeLog();
   return sample_.Add(p);
 }
 
@@ -64,27 +67,59 @@ const KernelDensityEstimator& DensityModel::Estimator() const {
   if (stale) {
     const obs::ScopedTimer timer(Metrics().rebuild_ns);
     Metrics().estimator_rebuilds->Increment();
-    // Zero per-point-allocation rebuild (DESIGN.md §13): export the sample
-    // into the warm scratch buffer, compute the spreads from it, move the
-    // buffer into the new estimator, then steal the displaced estimator's
-    // buffer back as the next rebuild's scratch. After the second rebuild
-    // the two flat buffers just ping-pong; only O(d) vectors (spreads,
-    // bandwidths, kernels) are allocated per rebuild.
-    sample_.SnapshotTo(&rebuild_scratch_);
-    const std::vector<double> spreads = SpreadsFrom(rebuild_scratch_);
-    auto built = KernelDensityEstimator::CreateWithScottBandwidths(
-        std::move(rebuild_scratch_), spreads);
-    SENSORD_CHECK_OK(built.status());  // inputs are valid by construction
-    if (cached_.has_value()) {
-      rebuild_scratch_ = std::move(*cached_).ReleaseSampleStorage();
-    }
-    cached_.emplace(std::move(built).value());
+    // Zero per-point-allocation rebuild (DESIGN.md §13): the new estimator
+    // takes over the displaced one's sample buffer, so only O(d) vectors
+    // (spreads, bandwidths, kernels, extents) are allocated per rebuild.
+    cached_.emplace(
+        Rebuild(ScottBandwidths(BandwidthSpreads(), sample_.sample_size())));
     cached_sample_version_ = version;
     cached_at_count_ = seen;
   } else {
     Metrics().estimator_cache_hits->Increment();
   }
   return *cached_;
+}
+
+KernelDensityEstimator DensityModel::Rebuild(
+    std::vector<double> bandwidths) const {
+  if (!cached_.has_value() ||
+      !sample_.ChangesLoggedSince(cached_sample_version_)) {
+    FlatPoints rows;
+    if (cached_.has_value()) {
+      rows = std::move(*cached_).ReleaseSampleStorage();
+    }
+    sample_.SnapshotTo(&rows);
+    auto built = KernelDensityEstimator::Create(std::move(rows),
+                                                std::move(bandwidths));
+    SENSORD_CHECK_OK(built.status());  // inputs are valid by construction
+    return std::move(built).value();
+  }
+  // Each chain changed since the cached build swaps one row: out goes the
+  // element its first logged change replaced (the one the cached estimator
+  // holds), in comes its current active element. An age-only rebuild has
+  // no changes and just re-derives bandwidths and the primary axis.
+  const size_t d = config_.dimensions;
+  removed_scratch_.Reset(d);
+  removed_scratch_.Reserve(ChainSample::kChangeLogCapacity);
+  added_scratch_.Reset(d);
+  added_scratch_.Reserve(ChainSample::kChangeLogCapacity);
+  const uint64_t since = cached_sample_version_;
+  for (uint64_t v = since + 1; v <= sample_.version(); ++v) {
+    const uint32_t chain = sample_.ChangedChain(v);
+    bool repeat = false;
+    for (uint64_t u = since + 1; u < v && !repeat; ++u) {
+      repeat = sample_.ChangedChain(u) == chain;
+    }
+    if (repeat) continue;
+    const PointView out = sample_.ReplacedElement(v);
+    std::copy(out.begin(), out.end(), removed_scratch_.AppendRow());
+    const PointView in = sample_.ActiveElement(chain);
+    std::copy(in.begin(), in.end(), added_scratch_.AppendRow());
+  }
+  auto built = std::move(*cached_).Merge(&removed_scratch_, &added_scratch_,
+                                         std::move(bandwidths));
+  SENSORD_CHECK_OK(built.status());
+  return std::move(built).value();
 }
 
 double DensityModel::WindowCount() const {
@@ -107,23 +142,17 @@ std::vector<double> DensityModel::StdDevs() const {
 }
 
 std::vector<double> DensityModel::BandwidthSpreads() const {
-  if (!config_.robust_bandwidth || !sample_.seeded()) return StdDevs();
-  sample_.SnapshotTo(&rebuild_scratch_);
-  return SpreadsFrom(rebuild_scratch_);
-}
-
-std::vector<double> DensityModel::SpreadsFrom(
-    const FlatPoints& snapshot) const {
   std::vector<double> spreads = StdDevs();
-  if (!config_.robust_bandwidth || snapshot.empty()) return spreads;
+  if (!config_.robust_bandwidth || !sample_.seeded()) return spreads;
   // Silverman's robust variant: temper each sigma with the sample IQR so
   // rare excursions do not inflate the bandwidth of the bulk. One warm
-  // coordinate buffer serves every dimension (QuantileSorted interpolates
-  // exactly like Quantile, so the spreads are unchanged bit for bit).
+  // coordinate buffer serves every dimension, read straight off the
+  // chains' active elements (QuantileSorted interpolates exactly like
+  // Quantile, so the spreads are unchanged bit for bit).
   for (size_t dim = 0; dim < spreads.size(); ++dim) {
     coord_scratch_.clear();
-    for (size_t row = 0; row < snapshot.size(); ++row) {
-      coord_scratch_.push_back(snapshot.At(row, dim));
+    for (size_t c = 0; c < sample_.sample_size(); ++c) {
+      coord_scratch_.push_back(sample_.ActiveElement(c)[dim]);
     }
     std::sort(coord_scratch_.begin(), coord_scratch_.end());
     const double iqr = QuantileSorted(coord_scratch_, 0.75) -

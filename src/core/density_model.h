@@ -101,9 +101,11 @@ class DensityModel {
   bool Restore(SnapshotReader* reader);
 
  private:
-  // BandwidthSpreads() over an already-exported flat snapshot of the sample
-  // (the rebuild path computes the snapshot once and reuses it here).
-  std::vector<double> SpreadsFrom(const FlatPoints& snapshot) const;
+  // The estimator for the current sample with `bandwidths`, consuming the
+  // cached one: merged with the chains changed since it was built, or —
+  // after seeding, Restore() or a change-log overflow — a Create() over the
+  // whole sample.
+  KernelDensityEstimator Rebuild(std::vector<double> bandwidths) const;
 
   DensityModelConfig config_;
   ChainSample sample_;
@@ -114,15 +116,18 @@ class DensityModel {
   mutable uint64_t cached_sample_version_ = 0;
   mutable uint64_t cached_at_count_ = 0;
 
-  // Warm buffers for the rebuild path (DESIGN.md §13): the sample is
-  // exported into rebuild_scratch_, handed to the new estimator, and the
-  // displaced estimator's buffer is stolen back as the next scratch — two
-  // heap blocks ping-pong forever, so a steady-state rebuild performs zero
-  // per-point allocations. coord_scratch_ serves the robust-bandwidth IQR
-  // the same way. mutable for the same reason as cached_: rebuilds happen
-  // inside const queries, and a DensityModel is single-owner state, touched
-  // only by its node's handlers on the simulator's one thread.
-  mutable FlatPoints rebuild_scratch_;
+  // Warm buffers for the rebuild path (DESIGN.md §13). The sample itself
+  // lives in one buffer that passes from each estimator to the next: a
+  // merge rebuild works in it in place, and a full rebuild refills it.
+  // removed_scratch_/added_scratch_ hold a merge's changed rows (at most
+  // ChainSample::kChangeLogCapacity, reserved at once) and coord_scratch_
+  // the robust-bandwidth IQR's coordinates, so a steady-state rebuild
+  // performs zero per-point allocations. mutable for the same reason as
+  // cached_: rebuilds happen inside const queries, and a DensityModel is
+  // single-owner state, touched only by its node's handlers on the
+  // simulator's one thread.
+  mutable FlatPoints removed_scratch_;
+  mutable FlatPoints added_scratch_;
   mutable std::vector<double> coord_scratch_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/mgdd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "stats/bandwidth.h"
 #include "stats/divergence.h"
 #include "util/flat_points.h"
 
@@ -27,7 +29,9 @@ struct MgddMetrics {
   obs::Counter* updates_originated;   // root model pushes
   obs::Counter* updates_suppressed;   // kOnModelChange pushes skipped (JS)
   obs::Counter* updates_applied;      // replica updates applied at leaves
+  obs::Counter* replica_rebuilds;     // leaf replica estimators rebuilt
   obs::Histogram* update_slots;       // slot-diff size per originated push
+  obs::Histogram* replica_rebuild_ns;  // replica rebuild (timing-gated)
 };
 
 const MgddMetrics& Metrics() {
@@ -40,10 +44,18 @@ const MgddMetrics& Metrics() {
       registry.GetCounter("core.mgdd.root.updates_originated"),
       registry.GetCounter("core.mgdd.root.updates_suppressed"),
       registry.GetCounter("core.mgdd.leaf.updates_applied"),
+      registry.GetCounter("core.mgdd.replica_rebuilds"),
       registry.GetHistogram("core.mgdd.root.update_slots",
-                            obs::SizeBoundaries())};
+                            obs::SizeBoundaries()),
+      registry.GetHistogram("core.mgdd.replica_rebuild_ns",
+                            obs::LatencyBoundariesNs())};
   return m;
 }
+
+// Slots a leaf records between two replica rebuilds before falling back to
+// a build over every valid slot: a kEveryChange update names one or a few,
+// a resync or kOnModelChange push names them all.
+constexpr size_t kReplicaChangeCapacity = 32;
 
 // Snapshot payload versions (core/snapshot.h frame field) of the MGDD node
 // checkpoints. Bump on layout change.
@@ -163,6 +175,7 @@ void MgddLeafNode::HandleMessage(const Message& msg) {
   }
   for (const GlobalSlotUpdate& u : update.updates) {
     if (u.slot >= global_sample_.size()) continue;  // malformed; ignore
+    RecordSlotChange(u.slot);
     global_sample_[u.slot] = u.value;
     slot_valid_[u.slot] = true;
   }
@@ -173,6 +186,28 @@ void MgddLeafNode::HandleMessage(const Message& msg) {
   degraded_state_ = false;  // a fresh replica heals the degradation
   Metrics().updates_applied->Increment();
   if (recovering_) MaybeFinishRecovery();
+}
+
+void MgddLeafNode::RecordSlotChange(uint32_t slot) {
+  // Without a cached estimator the next rebuild takes every slot anyway
+  // (and clears the record: it only describes changes since a build).
+  if (!cached_global_.has_value() || changes_overflowed_ ||
+      std::find(changed_slots_.begin(), changed_slots_.end(), slot) !=
+          changed_slots_.end()) {
+    return;
+  }
+  if (changed_slots_.size() == kReplicaChangeCapacity) {
+    changes_overflowed_ = true;
+    return;
+  }
+  changed_slots_.push_back(slot);
+  if (slot_valid_[slot]) replaced_rows_.Append(global_sample_[slot]);
+}
+
+void MgddLeafNode::ClearSlotChanges() const {
+  changed_slots_.clear();
+  replaced_rows_.Reset(global_stddevs_.size());
+  changes_overflowed_ = false;
 }
 
 std::vector<uint8_t> MgddLeafNode::SaveState() const {
@@ -200,6 +235,8 @@ bool MgddLeafNode::RestoreState(const std::vector<uint8_t>& bytes) {
   if (!local_model_.Restore(&r)) return false;
   rng_ = r.TakeRng();
   const uint32_t slots = r.TakeU32();
+  cached_global_.reset();  // describes the replica being overwritten
+  cached_version_ = 0;
   global_sample_.clear();
   slot_valid_.clear();
   for (uint32_t i = 0; i < slots && r.ok(); ++i) {
@@ -210,10 +247,7 @@ bool MgddLeafNode::RestoreState(const std::vector<uint8_t>& bytes) {
   replica_version_ = r.TakeU64();
   updates_received_ = r.TakeU64();
   last_update_time_ = r.TakeDouble();
-  if (!r.ok()) return false;
-  cached_global_.reset();
-  cached_version_ = 0;
-  return true;
+  return r.ok();
 }
 
 void MgddLeafNode::ResetVolatileState() {
@@ -265,24 +299,49 @@ bool MgddLeafNode::degraded() const {
 
 const KernelDensityEstimator& MgddLeafNode::GlobalEstimator() const {
   SENSORD_CHECK(HasGlobalModel());
-  if (!cached_global_.has_value() || cached_version_ != replica_version_) {
-    // Valid slots straight into one flat buffer, in slot order; Create()
-    // canonicalizes it, so the estimator is the one the Point overload
-    // built, without a Point copy per slot.
-    const size_t d = global_stddevs_.size();
-    FlatPoints sample(d);
-    sample.Reserve(global_sample_.size());
+  if (cached_global_.has_value() && cached_version_ == replica_version_) {
+    return *cached_global_;
+  }
+  const obs::ScopedTimer timer(Metrics().replica_rebuild_ns);
+  Metrics().replica_rebuilds->Increment();
+  const size_t d = global_stddevs_.size();
+  auto built = [&]() -> StatusOr<KernelDensityEstimator> {
+    if (cached_global_.has_value() && !changes_overflowed_ &&
+        cached_global_->dimensions() == d) {
+      // Merge the touched slots: out go the values the cached estimator
+      // holds, in come the slots' current values (every touched slot is
+      // valid now).
+      added_rows_.Reset(d);
+      for (const uint32_t slot : changed_slots_) {
+        SENSORD_CHECK_EQ(global_sample_[slot].size(), d);
+        added_rows_.Append(global_sample_[slot]);
+      }
+      const size_t n = cached_global_->sample_size() -
+                       replaced_rows_.size() + added_rows_.size();
+      return std::move(*cached_global_)
+          .Merge(&replaced_rows_, &added_rows_,
+                 ScottBandwidths(global_stddevs_, n));
+    }
+    // Every valid slot, in slot order, into the displaced estimator's
+    // buffer; Create() sorts it into canonical order.
+    FlatPoints rows;
+    if (cached_global_.has_value()) {
+      rows = std::move(*cached_global_).ReleaseSampleStorage();
+    }
+    rows.Reset(d);
+    rows.Reserve(global_sample_.size());
     for (size_t i = 0; i < global_sample_.size(); ++i) {
       if (!slot_valid_[i]) continue;
       SENSORD_CHECK_EQ(global_sample_[i].size(), d);
-      sample.Append(global_sample_[i]);
+      rows.Append(global_sample_[i]);
     }
-    auto built = KernelDensityEstimator::CreateWithScottBandwidths(
-        std::move(sample), global_stddevs_);
-    SENSORD_CHECK_OK(built.status());
-    cached_global_.emplace(std::move(built).value());
-    cached_version_ = replica_version_;
-  }
+    return KernelDensityEstimator::CreateWithScottBandwidths(
+        std::move(rows), global_stddevs_);
+  }();
+  SENSORD_CHECK_OK(built.status());
+  cached_global_.emplace(std::move(built).value());
+  cached_version_ = replica_version_;
+  ClearSlotChanges();
   return *cached_global_;
 }
 
@@ -345,23 +404,28 @@ void MgddInternalNode::HandleSampleValue(const Point& value) {
 }
 
 void MgddInternalNode::MaybeOriginateUpdate() {
-  const std::vector<Point> snapshot = model_.sample().Snapshot();
+  model_.sample().SnapshotTo(&sample_scratch_);
+  const FlatPoints& snapshot = sample_scratch_;
+  const size_t d = snapshot.dimensions();
   GlobalModelUpdatePayload payload;
   payload.stddevs = model_.BandwidthSpreads();
 
   if (options_.update_mode == GlobalUpdateMode::kEveryChange) {
-    // Diff the replicated slots against what was last broadcast.
-    if (last_broadcast_sample_.size() != snapshot.size()) {
-      last_broadcast_sample_.assign(snapshot.size(), Point{});
-    }
+    // Diff the replicated slots against what was last broadcast; a baseline
+    // of another shape (none yet, or reset by a restore) differs in every
+    // slot.
+    const bool fresh = last_broadcast_sample_.size() != snapshot.size() ||
+                       last_broadcast_sample_.dimensions() != d;
     for (size_t i = 0; i < snapshot.size(); ++i) {
-      if (last_broadcast_sample_[i] != snapshot[i]) {
+      const double* now = snapshot.Row(i);
+      if (fresh ||
+          !std::equal(now, now + d, last_broadcast_sample_.Row(i))) {
         payload.updates.push_back(
-            GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
-        last_broadcast_sample_[i] = snapshot[i];
+            GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot.ToPoint(i)});
       }
     }
     if (payload.updates.empty()) return;
+    last_broadcast_sample_ = snapshot;
   } else {
     // kOnModelChange: push a full snapshot only if the model drifted.
     if (last_pushed_estimator_.has_value()) {
@@ -376,7 +440,7 @@ void MgddInternalNode::MaybeOriginateUpdate() {
     }
     for (size_t i = 0; i < snapshot.size(); ++i) {
       payload.updates.push_back(
-          GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
+          GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot.ToPoint(i)});
     }
     last_pushed_estimator_ = model_.Estimator();
   }
@@ -404,15 +468,15 @@ void MgddInternalNode::OriginateUpdate(GlobalModelUpdatePayload payload) {
 void MgddInternalNode::BroadcastFullSnapshot() {
   if (!model_.Ready()) return;  // nothing to push yet
   Rejoin().resyncs->Increment();
-  const std::vector<Point> snapshot = model_.sample().Snapshot();
+  model_.sample().SnapshotTo(&sample_scratch_);
   GlobalModelUpdatePayload payload;
   payload.stddevs = model_.BandwidthSpreads();
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    payload.updates.push_back(
-        GlobalSlotUpdate{static_cast<uint32_t>(i), snapshot[i]});
+  for (size_t i = 0; i < sample_scratch_.size(); ++i) {
+    payload.updates.push_back(GlobalSlotUpdate{static_cast<uint32_t>(i),
+                                               sample_scratch_.ToPoint(i)});
   }
   // Keep the diff baseline in step with what the replicas now hold.
-  last_broadcast_sample_ = snapshot;
+  last_broadcast_sample_ = sample_scratch_;
   OriginateUpdate(std::move(payload));
 }
 
@@ -435,7 +499,7 @@ bool MgddInternalNode::RestoreState(const std::vector<uint8_t>& bytes) {
   // The checkpoint predates the crash, so the replicas below may hold newer
   // slots than this model does. An empty diff baseline (and no last-pushed
   // estimator) forces the next originated update to cover every slot.
-  last_broadcast_sample_.clear();
+  last_broadcast_sample_.Reset(0);
   last_pushed_estimator_.reset();
   last_sample_version_ = model_.sample().version();
   return true;
@@ -445,7 +509,7 @@ void MgddInternalNode::ResetVolatileState() {
   Rng boot = boot_rng_;
   model_ = DensityModel(options_.model, boot.Split());
   rng_ = boot;
-  last_broadcast_sample_.clear();
+  last_broadcast_sample_.Reset(0);
   last_pushed_estimator_.reset();
   update_version_ = 0;
   updates_originated_ = 0;

@@ -41,6 +41,7 @@
 #include "net/node.h"
 #include "net/protocol.h"
 #include "stats/kde.h"
+#include "util/flat_points.h"
 #include "util/rng.h"
 
 namespace sensord {
@@ -115,7 +116,10 @@ class MgddLeafNode : public Node {
   /// True once at least one global update has been received.
   bool HasGlobalModel() const { return !global_sample_.empty(); }
 
-  /// The replica's current estimator. Pre: HasGlobalModel().
+  /// The replica's current estimator, rebuilt when an update changed the
+  /// replica: by merging the changed slots into the previous estimator, or
+  /// over every valid slot after a restore or a change record overflow.
+  /// Pre: HasGlobalModel().
   const KernelDensityEstimator& GlobalEstimator() const;
 
   /// Number of global updates applied (for experiments).
@@ -129,6 +133,12 @@ class MgddLeafNode : public Node {
  private:
   // Closes the recovery window once the leaf is capable again.
   void MaybeFinishRecovery();
+
+  // Notes that an update is about to overwrite `slot` (see changed_slots_).
+  void RecordSlotChange(uint32_t slot);
+
+  // Empties the change record after a rebuild.
+  void ClearSlotChanges() const;
 
   MgddOptions options_;
   Rng boot_rng_;  // construction-time rng, replayed by ResetVolatileState
@@ -152,6 +162,18 @@ class MgddLeafNode : public Node {
 
   mutable std::optional<KernelDensityEstimator> cached_global_;
   mutable uint64_t cached_version_ = 0;
+
+  // The replica changes since cached_global_ was built, for the merge
+  // rebuild (DESIGN.md §13): each touched slot once, with the value the
+  // cached estimator holds for it (a row of replaced_rows_, if the slot
+  // was valid). Past a fixed number of slots, as on a resync, the record
+  // overflows and the next rebuild takes every valid slot instead. Only
+  // written while an estimator is cached, and emptied by every rebuild, so
+  // dropping the cache (restore, reset) also retires the record.
+  mutable std::vector<uint32_t> changed_slots_;
+  mutable FlatPoints replaced_rows_;
+  mutable bool changes_overflowed_ = false;
+  mutable FlatPoints added_rows_;  // warm buffer: the touched slots' rows
 };
 
 /// A leader node running MGDD's BlackProcess: relays sample values upward
@@ -193,8 +215,10 @@ class MgddInternalNode : public Node {
   DensityModel model_;
   Rng rng_;
 
-  // Root bookkeeping: the sample as last broadcast, slot by slot.
-  std::vector<Point> last_broadcast_sample_;
+  // Root bookkeeping: the sample as last broadcast, slot by slot (empty:
+  // every slot differs), and a warm buffer for the current sample.
+  FlatPoints last_broadcast_sample_;
+  FlatPoints sample_scratch_;
   std::optional<KernelDensityEstimator> last_pushed_estimator_;
   uint64_t update_version_ = 0;
   uint64_t updates_originated_ = 0;

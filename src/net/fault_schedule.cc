@@ -113,7 +113,6 @@ TransmissionPlan FaultSchedule::DecideTransmission(NodeId from, NodeId to,
     ++duplicates_;
     Metrics().duplicates->Increment();
   }
-  plan.extra_delays.reserve(copies);
   for (size_t i = 0; i < copies; ++i) {
     double delay = 0.0;
     if (fault.jitter_max > 0.0) {

@@ -31,6 +31,9 @@
 #ifndef SENSORD_NET_FAULT_SCHEDULE_H_
 #define SENSORD_NET_FAULT_SCHEDULE_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -41,6 +44,7 @@
 
 #include "net/event_queue.h"
 #include "net/message.h"
+#include "util/check.h"
 #include "util/math_utils.h"
 #include "util/rng.h"
 
@@ -95,6 +99,35 @@ struct SensorFault {
   double value = 0.0;
 };
 
+/// The extra delays of a transmission's delivered copies: one, or two for
+/// a duplicated frame, held inline so deciding a hop allocates nothing.
+class CopyDelays {
+ public:
+  static constexpr size_t kMaxCopies = 2;
+
+  size_t size() const { return size_; }
+  double operator[](size_t i) const {
+    SENSORD_DCHECK_LT(i, size_);
+    return delays_[i];
+  }
+  double back() const { return (*this)[size_ - 1]; }
+  /// Pre: size() < kMaxCopies.
+  void push_back(double delay) {
+    SENSORD_CHECK_LT(size_, kMaxCopies);
+    delays_[size_++] = delay;
+  }
+
+  friend bool operator==(const CopyDelays& a, const CopyDelays& b) {
+    return a.size_ == b.size_ &&
+           std::equal(a.delays_.begin(), a.delays_.begin() + a.size_,
+                      b.delays_.begin());
+  }
+
+ private:
+  std::array<double, kMaxCopies> delays_{};
+  size_t size_ = 0;
+};
+
 /// What the schedule decided for one physical transmission.
 struct TransmissionPlan {
   /// True: the frame (all copies) is lost.
@@ -102,7 +135,7 @@ struct TransmissionPlan {
 
   /// Extra delay of each delivered copy, added to the hop latency.
   /// One entry per copy; {0.0} is a plain single delivery.
-  std::vector<double> extra_delays;
+  CopyDelays extra_delays;
 };
 
 /// A deterministic, virtual-time-driven schedule of injected faults.

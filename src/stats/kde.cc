@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -34,26 +35,82 @@ const KdeMetrics& Metrics() {
   return m;
 }
 
+// The canonical order on rows: primary-axis coordinate ascending, then all
+// coordinates lexicographically, then -0.0 before +0.0. Rows tied under it
+// are bit-identical (coordinates are finite), so every sorted arrangement
+// of a multiset of rows is the same buffer — which is why merging sorted
+// parts equals sorting the whole, bit for bit.
+bool RowLess(const double* a, const double* b, size_t axis, size_t d) {
+  if (a[axis] != b[axis]) return a[axis] < b[axis];
+  for (size_t i = 0; i < d; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i];
+  }
+  for (size_t i = 0; i < d; ++i) {
+    if (std::signbit(a[i]) != std::signbit(b[i])) return std::signbit(a[i]);
+  }
+  return false;
+}
+
+// Sorts `rows` into canonical order under `axis`: std::sort over the
+// coordinate array in 1-d, the allocation-free row heapsort otherwise.
+void SortCanonical(FlatPoints* rows, size_t axis) {
+  const size_t d = rows->dimensions();
+  if (d == 1) {
+    std::vector<double>& coords = *rows->mutable_data();
+    std::sort(coords.begin(), coords.end(),
+              [](double a, double b) { return RowLess(&a, &b, 0, 1); });
+    return;
+  }
+  const FlatPoints& s = *rows;
+  rows->SortRows([&s, axis, d](size_t a, size_t b) {
+    return RowLess(s.Row(a), s.Row(b), axis, d);
+  });
+}
+
 }  // namespace
 
 StatusOr<KernelDensityEstimator> KernelDensityEstimator::Create(
     FlatPoints sample, std::vector<double> bandwidths) {
-  if (sample.empty()) {
+  FlatPoints none(sample.dimensions());
+  return Build(FlatPoints(sample.dimensions()), 0, &none, &sample,
+               std::move(bandwidths));
+}
+
+StatusOr<KernelDensityEstimator> KernelDensityEstimator::Merge(
+    FlatPoints* removed, FlatPoints* added,
+    std::vector<double> bandwidths) && {
+  return Build(std::move(sample_), primary_axis_, removed, added,
+               std::move(bandwidths));
+}
+
+StatusOr<KernelDensityEstimator> KernelDensityEstimator::Build(
+    FlatPoints base, size_t base_axis, FlatPoints* removed,
+    FlatPoints* added, std::vector<double> bandwidths) {
+  if (removed->size() > base.size()) {
+    return Status::InvalidArgument("removed rows are not in the sample");
+  }
+  if (base.size() - removed->size() + added->size() == 0) {
     return Status::InvalidArgument("KDE requires a non-empty sample");
   }
   if (bandwidths.empty()) {
     return Status::InvalidArgument("KDE requires at least one bandwidth");
   }
-  if (sample.dimensions() != bandwidths.size()) {
-    return Status::InvalidArgument(
-        "sample point dimensionality does not match bandwidth count");
+  const FlatPoints* const parts[] = {&base, removed, added};
+  for (const FlatPoints* rows : parts) {
+    if (!rows->empty() && rows->dimensions() != bandwidths.size()) {
+      return Status::InvalidArgument(
+          "sample point dimensionality does not match bandwidth count");
+    }
   }
   for (double b : bandwidths) {
     if (!(b > 0.0)) {
       return Status::InvalidArgument("bandwidths must be positive");
     }
   }
-  return KernelDensityEstimator(std::move(sample), std::move(bandwidths));
+  KernelDensityEstimator kde(std::move(base), std::move(bandwidths));
+  const Status status = kde.Canonicalize(base_axis, removed, added);
+  if (!status.ok()) return status;
+  return kde;
 }
 
 StatusOr<KernelDensityEstimator> KernelDensityEstimator::Create(
@@ -88,20 +145,85 @@ KernelDensityEstimator::CreateWithScottBandwidths(
 
 KernelDensityEstimator::KernelDensityEstimator(FlatPoints sample,
                                                std::vector<double> bandwidths)
-    : sample_(std::move(sample)), sample_size_(sample_.size()) {
+    : sample_(std::move(sample)), sample_size_(0) {
   kernels_.reserve(bandwidths.size());
   for (double b : bandwidths) kernels_.emplace_back(b);
-  Canonicalize();
 }
 
-void KernelDensityEstimator::Canonicalize() {
+Status KernelDensityEstimator::Canonicalize(size_t base_axis,
+                                            FlatPoints* removed,
+                                            FlatPoints* added) {
   const size_t d = kernels_.size();
-  if (d == 1) {
-    // 1-d canonical order is the plain sorted order; the flat buffer *is*
-    // the sorted coordinate array the fast path binary-searches.
-    std::vector<double>& coords = *sample_.mutable_data();
-    std::sort(coords.begin(), coords.end());
-    return;
+  const auto missing = [] {
+    return Status::InvalidArgument("removed rows are not in the sample");
+  };
+  // The axis sample_ is in canonical order under; kUnsorted for rows in no
+  // particular order.
+  constexpr size_t kUnsorted = ~size_t{0};
+  size_t sorted_axis = base_axis;
+  if (sample_.empty()) {
+    // Nothing to merge into: the added rows are the sample, sorted below
+    // under the axis their spread picks.
+    std::swap(sample_, *added);
+    sorted_axis = kUnsorted;
+  } else {
+    SortCanonical(removed, base_axis);
+    SortCanonical(added, base_axis);
+    std::vector<double>& buf = *sample_.mutable_data();
+    const size_t nb = sample_.size(), nr = removed->size(), na = added->size();
+    // Forward pass: drop the rows matching `removed`, closing the gaps.
+    // Both are in canonical order, so removed row r can only match the
+    // first base row that does not precede it.
+    size_t kept = 0, r = 0;
+    for (size_t i = 0; i < nb; ++i) {
+      const double* row = buf.data() + i * d;
+      if (r < nr && !RowLess(row, removed->Row(r), base_axis, d)) {
+        if (RowLess(removed->Row(r), row, base_axis, d)) return missing();
+        ++r;
+        continue;
+      }
+      if (kept != i) std::copy(row, row + d, buf.data() + kept * d);
+      ++kept;
+    }
+    if (r < nr) return missing();
+    // Backward pass: splice the added rows in from the end. The write row
+    // stays ahead of the kept rows still to be moved, so nothing is
+    // overwritten before it is read.
+    buf.resize((kept + na) * d);
+    size_t i = kept, a = na, w = kept + na;
+    while (a > 0) {
+      --w;
+      const double* in = added->Row(a - 1);
+      const double* last = i > 0 ? buf.data() + (i - 1) * d : nullptr;
+      const bool move_last = last != nullptr && RowLess(in, last, base_axis, d);
+      const double* src = move_last ? last : in;
+      std::copy(src, src + d, buf.data() + w * d);
+      if (move_last) {
+        --i;
+      } else {
+        --a;
+      }
+    }
+  }
+  sample_size_ = sample_.size();
+
+  // Per-axis [lo, hi] of the new sample for the primary-axis choice, and
+  // the finiteness check every sample row passes.
+  std::vector<double> extent(2 * d);
+  for (size_t i = 0; i < d; ++i) {
+    extent[2 * i] = std::numeric_limits<double>::infinity();
+    extent[2 * i + 1] = -std::numeric_limits<double>::infinity();
+  }
+  for (const double* v = sample_.data().data(),
+                   * end = v + sample_.data().size();
+       v < end; v += d) {
+    for (size_t i = 0; i < d; ++i) {
+      if (!std::isfinite(v[i])) {
+        return Status::InvalidArgument("sample coordinates must be finite");
+      }
+      extent[2 * i] = std::min(extent[2 * i], v[i]);
+      extent[2 * i + 1] = std::max(extent[2 * i + 1], v[i]);
+    }
   }
   // Primary axis: the axis where a sorted-order window [lo - B, hi + B]
   // prunes best, i.e. with the largest spread/bandwidth ratio. Ties go to
@@ -109,33 +231,15 @@ void KernelDensityEstimator::Canonicalize() {
   // the canonical order and every downstream artifact — is deterministic.
   double best_ratio = -1.0;
   for (size_t i = 0; i < d; ++i) {
-    double lo = sample_.At(0, i), hi = lo;
-    for (size_t row = 1; row < sample_size_; ++row) {
-      const double v = sample_.At(row, i);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    const double ratio = (hi - lo) / kernels_[i].bandwidth();
+    const double ratio =
+        (extent[2 * i + 1] - extent[2 * i]) / kernels_[i].bandwidth();
     if (ratio > best_ratio) {
       best_ratio = ratio;
       primary_axis_ = i;
     }
   }
-  // Canonical order: primary-axis coordinate ascending, ties broken
-  // lexicographically over all coordinates. Rows still tied after that are
-  // coordinate-identical — interchangeable for every query — so the
-  // unstable in-place heapsort yields a canonical order of observables.
-  const FlatPoints& s = sample_;
-  const size_t axis = primary_axis_;
-  sample_.SortRows([&s, axis, d](size_t a, size_t b) {
-    const double* ra = s.Row(a);
-    const double* rb = s.Row(b);
-    if (ra[axis] != rb[axis]) return ra[axis] < rb[axis];
-    for (size_t i = 0; i < d; ++i) {
-      if (ra[i] != rb[i]) return ra[i] < rb[i];
-    }
-    return false;
-  });
+  if (primary_axis_ != sorted_axis) SortCanonical(&sample_, primary_axis_);
+  return Status::Ok();
 }
 
 std::vector<double> KernelDensityEstimator::bandwidths() const {

@@ -24,13 +24,16 @@
 //
 // The estimator is an immutable snapshot: the online system (core::
 // DensityModel) rebuilds it cheaply from the current chain sample whenever
-// it needs to answer queries, which keeps it exactly reproducible. The one
-// piece of state it gains after construction is the memoised MDEF cell-mass
-// grid (CellMassGrid), filled on first request without synchronisation: a
-// const estimator may be shared by readers on one thread only, as in the
-// single-threaded simulator. The flat-buffer Create() overload plus
-// ReleaseSampleStorage() let the rebuild path recycle one warm buffer and
-// perform zero per-point heap allocations.
+// it needs to answer queries, which keeps it exactly reproducible. One
+// routine puts every sample into canonical order: Merge() consumes the
+// previous estimator and merges the rows that changed since into its
+// already-ordered buffer in place, and Create() is the same routine with
+// nothing to merge into (DESIGN.md §13) — so a rebuild performs zero
+// per-point heap allocations. The one piece of state an estimator gains
+// after construction is the memoised MDEF cell-mass grid (CellMassGrid),
+// filled on first request without synchronisation: a const estimator may
+// be shared by readers on one thread only, as in the single-threaded
+// simulator.
 
 #ifndef SENSORD_STATS_KDE_H_
 #define SENSORD_STATS_KDE_H_
@@ -55,11 +58,25 @@ class SnapshotWriter;
 class KernelDensityEstimator : public DistributionEstimator {
  public:
   /// Builds an estimator from a flat sample and per-dimension bandwidths;
-  /// the sample is re-sorted into canonical order in place. Returns
+  /// the sample is sorted into canonical order in place. Returns
   /// InvalidArgument if the sample is empty, the dimensionalities are
-  /// inconsistent, or any bandwidth is <= 0.
+  /// inconsistent, any coordinate is not finite, or any bandwidth is <= 0.
   static StatusOr<KernelDensityEstimator> Create(
       FlatPoints sample, std::vector<double> bandwidths);
+
+  /// The incremental rebuild, consuming this estimator: an estimator over
+  /// the sample (sample() − removed) ∪ added, as multisets, with new
+  /// `bandwidths` — bit-identical to Create() over the same rows in any
+  /// order. The changed rows are merged into this estimator's buffer in
+  /// place, O(|R|·d + k log k) for k changed rows plus one re-sort when the
+  /// primary axis changes, allocating nothing unless the sample outgrows
+  /// the buffer. `removed` and `added` are sorted in place. Returns
+  /// InvalidArgument as Create() does, and also if a row of `removed` is
+  /// not in sample(). This estimator is left empty either way and must not
+  /// be queried afterwards.
+  StatusOr<KernelDensityEstimator> Merge(FlatPoints* removed,
+                                         FlatPoints* added,
+                                         std::vector<double> bandwidths) &&;
 
   /// Convenience overload that flattens a Point vector first (allocates;
   /// hot rebuild paths should pass FlatPoints directly).
@@ -98,8 +115,9 @@ class KernelDensityEstimator : public DistributionEstimator {
   std::vector<double> bandwidths() const;
 
   /// The sample in canonical order: flat row-major storage, rows sorted
-  /// ascending by primary_axis() with lexicographic tie-breaks (in 1-d this
-  /// degenerates to the plain sorted order).
+  /// ascending by primary_axis() with lexicographic tie-breaks, -0.0 before
+  /// +0.0 (in 1-d this degenerates to the plain sorted order). Rows tied
+  /// under it are bit-identical, so the order is unique.
   const FlatPoints& sample() const { return sample_; }
 
   /// The axis the canonical order sorts by and queries prune on: the axis
@@ -153,8 +171,9 @@ class KernelDensityEstimator : public DistributionEstimator {
                      const std::vector<size_t>& count, CellGrid* out) const;
 
   /// Steals the flat sample storage so a rebuild path can recycle the heap
-  /// buffer (core::DensityModel's scratch ping-pong). The estimator is left
-  /// empty and must not be queried afterwards.
+  /// buffer (core::DensityModel refills it for a Create() when it cannot
+  /// Merge()). The estimator is left empty and must not be queried
+  /// afterwards.
   FlatPoints ReleaseSampleStorage() && { return std::move(sample_); }
 
   /// Footprint under the paper's accounting: d numbers per sample point plus
@@ -169,8 +188,8 @@ class KernelDensityEstimator : public DistributionEstimator {
   void Serialize(SnapshotWriter* writer) const;
 
   /// Rebuilds an estimator from state previously written by Serialize(),
-  /// re-validating through Create() (which re-canonicalizes the order, so
-  /// pre-flat-layout payloads restore to the identical estimator). Returns
+  /// re-validating through Create() (which re-sorts into canonical order,
+  /// so pre-flat-layout payloads restore to the identical estimator). Returns
   /// InvalidArgument if the reader fails or the decoded state does not
   /// satisfy Create()'s preconditions.
   static StatusOr<KernelDensityEstimator> Deserialize(SnapshotReader* reader);
@@ -178,8 +197,23 @@ class KernelDensityEstimator : public DistributionEstimator {
  private:
   KernelDensityEstimator(FlatPoints sample, std::vector<double> bandwidths);
 
-  // Picks primary_axis_ and sorts sample_ into canonical order.
-  void Canonicalize();
+  // Create() and Merge(): validates, then builds the estimator over
+  // (base − removed) ∪ added in base's buffer, `base` being in canonical
+  // order under `base_axis` (an empty base for Create()).
+  static StatusOr<KernelDensityEstimator> Build(
+      FlatPoints base, size_t base_axis, FlatPoints* removed,
+      FlatPoints* added, std::vector<double> bandwidths);
+
+  // The one canonical-order routine (DESIGN.md §13): turns sample_, in
+  // canonical order under base_axis, into (sample_ − removed) ∪ added in
+  // canonical order and picks primary_axis_. It sorts the k changed rows
+  // under base_axis, drops the removed rows in one forward pass and splices
+  // the added ones in from the back in another, then re-sorts only if the
+  // new spread picks another axis. An empty sample_ has no order to keep:
+  // the added rows become the sample and are sorted once. Pre:
+  // dimensionalities and row counts validated by Build().
+  Status Canonicalize(size_t base_axis, FlatPoints* removed,
+                      FlatPoints* added);
 
   // First canonical row with primary-axis coordinate >= v (resp. > v).
   size_t LowerBoundRow(double v) const;

@@ -168,10 +168,26 @@ void ChainSample::RegisterExpiry(uint32_t chain_idx) {
                     /*expiry=*/true);
 }
 
+void ChainSample::StartChangeLog() {
+  if (!seeded_ || !log_chains_.empty()) return;
+  log_chains_.assign(kChangeLogCapacity, 0);
+  log_coords_.assign(kChangeLogCapacity * dims_, 0.0);
+  log_floor_ = version_;
+}
+
+void ChainSample::LogChange(uint32_t chain_idx) {
+  ++version_;
+  if (log_chains_.empty()) return;  // not started
+  const size_t slot = version_ % kChangeLogCapacity;
+  log_chains_[slot] = chain_idx;
+  const double* coords = FrontCoords(chains_[chain_idx]);
+  std::copy(coords, coords + dims_, log_coords_.begin() + slot * dims_);
+}
+
 void ChainSample::RestartChain(uint32_t chain_idx, uint64_t index,
                                const Point& value) {
   Metrics().restarts->Increment();
-  ++version_;
+  LogChange(chain_idx);
   Chain& chain = chains_[chain_idx];
   // Orphaned index registrations are skipped lazily. The head row, if any,
   // is overwritten in place rather than freed and re-allocated: restarts
@@ -244,11 +260,11 @@ bool ChainSample::Add(const Point& value) {
     if (chain.Empty() || FrontIndex(chain) + window_size_ != i) {
       continue;  // stale (restarted since registration)
     }
+    LogChange(c);  // the chain's active element changes
     ChainPopFront(&chain);
     SENSORD_CHECK(!chain.Empty() &&
                   "chain invariant: replacement arrives before expiry");
     Metrics().expirations->Increment();
-    ++version_;  // the chain's active element changed
     RegisterExpiry(c);
   }
 
@@ -422,6 +438,9 @@ bool ChainSample::Restore(SnapshotReader* reader) {
     }
     if (seeded_ && chain.Empty()) return false;
   }
+  // The log's entries belong to the overwritten state.
+  log_chains_.clear();
+  log_coords_.clear();
   pending_.Clear();
   if (!pending_.RestoreFrom(reader, chain_count, /*expiry=*/false) ||
       !pending_.RestoreFrom(reader, chain_count, /*expiry=*/true)) {

@@ -77,6 +77,41 @@ class ChainSample {
   /// (e.g. a kernel estimator) and rebuild only on change.
   uint64_t version() const { return version_; }
 
+  /// How many of the latest active-sample changes the change log keeps.
+  static constexpr size_t kChangeLogCapacity = 32;
+
+  /// Starts the change log (ChangesLoggedSince) at the current version; a
+  /// no-op before the first Add() and once started. Only samplers someone
+  /// catches up from pay for the log: core::DensityModel starts it once it
+  /// has built an estimator. Restore() stops it.
+  void StartChangeLog();
+
+  /// True iff every active-sample change after version `since` is in the
+  /// started change log: since <= version(), at most kChangeLogCapacity
+  /// changes back, and not before the log started. Each version bump is
+  /// exactly one change — one chain's active element replaced — so a
+  /// consumer that built something from the sample at version `since` can
+  /// catch up from the changes since + 1 .. version() alone
+  /// (core::DensityModel's merge rebuild, DESIGN.md §13). The log is
+  /// derived state: not serialized.
+  bool ChangesLoggedSince(uint64_t since) const {
+    return !log_chains_.empty() && since >= log_floor_ &&
+           since <= version_ && version_ - since <= kChangeLogCapacity;
+  }
+
+  /// The chain whose active element the change to version `v` replaced.
+  /// Pre: ChangesLoggedSince(v - 1), v <= version().
+  uint32_t ChangedChain(uint64_t v) const {
+    return log_chains_[v % kChangeLogCapacity];
+  }
+
+  /// The active element that change replaced, valid until the next
+  /// non-const call. Same precondition as ChangedChain().
+  PointView ReplacedElement(uint64_t v) const {
+    return PointView(
+        log_coords_.data() + (v % kChangeLogCapacity) * dims_, dims_);
+  }
+
   /// A view of the current active element of chain `i`, valid until the
   /// next non-const call. Only meaningful once at least one element has
   /// been observed. Pre: i < sample_size().
@@ -213,6 +248,11 @@ class ChainSample {
   // Expected O(1) skip count of a run of Bernoulli(p) failures.
   uint64_t GeometricSkip(double p);
 
+  // Bumps version_ for a change that replaces chain `chain_idx`'s current
+  // active element (if any), logging that chain and the outgoing element
+  // once the log has started.
+  void LogChange(uint32_t chain_idx);
+
   size_t window_size_;
   std::vector<Chain> chains_;
   size_t dims_ = 0;  // coordinate stride; fixed by the first Add()/Restore()
@@ -224,6 +264,14 @@ class ChainSample {
   uint64_t now_ = 0;      // number of elements observed
   uint64_t version_ = 0;  // bumped when the active sample changes
   bool seeded_ = false;
+
+  // Change log (ChangesLoggedSince): a ring indexed by version, entry
+  // v % kChangeLogCapacity holding the change to version v — the chain and
+  // the outgoing element's coordinates. Empty until StartChangeLog(), then
+  // complete for versions after log_floor_.
+  std::vector<uint32_t> log_chains_;
+  std::vector<double> log_coords_;
+  uint64_t log_floor_ = 0;
 
   PendingIndex pending_;
   std::vector<uint32_t> scratch_replacements_;  // reused ConsumeBoth() output

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.h"
 #include "util/flat_points.h"
 #include "util/rng.h"
 
@@ -257,6 +258,76 @@ TEST(ChainSampleTest, DeterministicGivenSeed) {
   for (size_t i = 0; i < sa.size(); ++i) {
     EXPECT_DOUBLE_EQ(sa[i][0], sb[i][0]);
   }
+}
+
+TEST(ChainSampleTest, ChangeLogReplaysActiveSampleChanges) {
+  // Replaying the logged changes since any covered version onto the
+  // snapshot taken at that version yields the current snapshot: each
+  // chain's first logged change names the element the old snapshot held,
+  // and its current active element is the new one.
+  ChainSample cs(12, 30, Rng(31));
+  Rng values(32);
+  cs.Add({values.UniformDouble(), values.UniformDouble()});
+  cs.StartChangeLog();
+  for (int round = 0; round < 300; ++round) {
+    const uint64_t since = cs.version();
+    const std::vector<Point> before = cs.Snapshot();
+    const int adds = 1 + static_cast<int>(values.UniformUint64(4));
+    for (int i = 0; i < adds; ++i) {
+      cs.Add({values.UniformDouble(), values.UniformDouble()});
+    }
+    if (!cs.ChangesLoggedSince(since)) {
+      EXPECT_GT(cs.version() - since, ChainSample::kChangeLogCapacity);
+      continue;
+    }
+    std::vector<Point> replayed = before;
+    std::vector<bool> seen(before.size(), false);
+    for (uint64_t v = since + 1; v <= cs.version(); ++v) {
+      const uint32_t chain = cs.ChangedChain(v);
+      ASSERT_LT(chain, before.size());
+      if (seen[chain]) continue;
+      seen[chain] = true;
+      EXPECT_EQ(cs.ReplacedElement(v).ToPoint(), before[chain])
+          << "round " << round << " version " << v;
+      replayed[chain] = cs.ActiveElement(chain).ToPoint();
+    }
+    EXPECT_EQ(replayed, cs.Snapshot()) << "round " << round;
+  }
+}
+
+TEST(ChainSampleTest, ChangeLogCoversRecentVersionsSinceItStarted) {
+  ChainSample cs(8, 10, Rng(33));
+  cs.StartChangeLog();  // before the first Add: nothing to log yet
+  EXPECT_FALSE(cs.ChangesLoggedSince(0));
+  cs.Add({0.5});
+  EXPECT_FALSE(cs.ChangesLoggedSince(cs.version()));  // not started
+  cs.StartChangeLog();
+  const uint64_t started = cs.version();
+  EXPECT_EQ(started, 8u);  // seeding filled every chain
+  EXPECT_TRUE(cs.ChangesLoggedSince(started));
+  EXPECT_FALSE(cs.ChangesLoggedSince(started - 1));  // before the start
+  Rng values(34);
+  while (cs.version() - started <= ChainSample::kChangeLogCapacity) {
+    EXPECT_TRUE(cs.ChangesLoggedSince(started));
+    cs.Add({values.UniformDouble()});
+  }
+  EXPECT_FALSE(cs.ChangesLoggedSince(started));  // overflowed
+  EXPECT_TRUE(cs.ChangesLoggedSince(cs.version() -
+                                    ChainSample::kChangeLogCapacity));
+  EXPECT_FALSE(cs.ChangesLoggedSince(cs.version() + 1));  // the future
+
+  // Restore() overwrites the sample the log describes, so it stops the log.
+  SnapshotWriter writer;
+  cs.Serialize(&writer);
+  const std::vector<uint8_t> bytes = std::move(writer).Finish(1);
+  auto reader = SnapshotReader::Open(bytes, 1);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(cs.Restore(&reader.value()));
+  EXPECT_FALSE(cs.ChangesLoggedSince(cs.version()));
+  cs.StartChangeLog();
+  const uint64_t restarted = cs.version();
+  while (cs.version() == restarted) cs.Add({0.25});
+  EXPECT_TRUE(cs.ChangesLoggedSince(restarted));
 }
 
 }  // namespace

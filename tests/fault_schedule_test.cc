@@ -1,12 +1,46 @@
 #include "net/fault_schedule.h"
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/network.h"
+
+// Counts every heap allocation in the process so a test can assert that
+// deciding a transmission allocates nothing (same idiom as
+// tests/density_model_test.cc).
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+// The replacement operators below pair malloc with free correctly, but
+// GCC's heuristic sees new-expressions resolving to free() and flags a
+// mismatch; the override is TU-wide, so suppress it file-wide.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sensord {
 namespace {
@@ -32,6 +66,22 @@ TEST(FaultScheduleTest, DefaultScheduleIsTransparent) {
   }
   EXPECT_EQ(faults.drops(), 0u);
   EXPECT_EQ(faults.duplicates(), 0u);
+}
+
+TEST(FaultScheduleTest, FaultFreeDecisionAllocatesNothing) {
+  // The per-hop decision on a plain link: one copy, no delay, and no heap
+  // block to say so.
+  FaultSchedule faults;
+  faults.DecideTransmission(0, 1, 0.0);  // first call registers metrics
+  size_t copies = 0;
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    copies += faults.DecideTransmission(0, 1, 1.0).extra_delays.size();
+  }
+  const uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(copies, 100u);
 }
 
 TEST(FaultScheduleTest, ForcedDropsConsumeExactly) {

@@ -1,6 +1,9 @@
 #include "stats/kde.h"
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,6 +162,113 @@ TEST(KdeTest, CanonicalOrderBreaksTiesLexicographically) {
   EXPECT_DOUBLE_EQ(s.At(0, 0), 0.1);
   EXPECT_DOUBLE_EQ(s.At(1, 1), 0.1);  // {0.5, 0.1, .} before {0.5, 0.9, .}
   EXPECT_DOUBLE_EQ(s.At(2, 1), 0.9);
+}
+
+TEST(KdeTest, CanonicalOrderPutsNegativeZeroFirst) {
+  // -0.0 == +0.0, so only the sign bit tells these rows apart; ordering it
+  // too makes tied rows bit-identical, whatever order they arrive in.
+  for (const bool negative_first : {false, true}) {
+    const double a = negative_first ? -0.0 : 0.0;
+    const double b = negative_first ? 0.0 : -0.0;
+    auto kde = KernelDensityEstimator::Create({{0.5, b}, {0.5, a}, {0.1, 0.2}},
+                                              {0.1, 0.1});
+    ASSERT_TRUE(kde.ok());
+    const FlatPoints& s = kde->sample();
+    EXPECT_TRUE(std::signbit(s.At(1, 1)));
+    EXPECT_FALSE(std::signbit(s.At(2, 1)));
+  }
+}
+
+TEST(KdeTest, CreateRejectsNonFiniteCoordinates) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_FALSE(KernelDensityEstimator::Create({{0.5}, {bad}}, {0.1}).ok());
+    EXPECT_FALSE(
+        KernelDensityEstimator::Create({{0.5, 0.5}, {0.1, bad}}, {0.1, 0.1})
+            .ok());
+  }
+}
+
+// Rows as bit patterns, so -0.0 and +0.0 differ.
+std::vector<uint64_t> Bits(const FlatPoints& rows) {
+  std::vector<uint64_t> out;
+  for (const double v : rows.data()) out.push_back(std::bit_cast<uint64_t>(v));
+  return out;
+}
+
+TEST(KdeTest, MergeMatchesCreateOverTheMergedRows) {
+  // Removing and adding rows — ties and duplicates included, some of them
+  // forcing the primary axis over — gives the estimator Create() builds
+  // over the resulting multiset, bit for bit.
+  Rng rng(41);
+  const std::vector<double> pool = {0.0, -0.0, 0.25, 0.5, 0.5, 1.0};
+  const auto draw = [&](size_t d) {
+    Point p(d);
+    for (double& x : p) {
+      x = rng.Bernoulli(0.4) ? pool[rng.UniformUint64(pool.size())]
+                             : rng.UniformDouble();
+    }
+    return p;
+  };
+  for (size_t d = 1; d <= 3; ++d) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<Point> rows;
+      const size_t n = 1 + rng.UniformUint64(40);
+      for (size_t i = 0; i < n; ++i) rows.push_back(draw(d));
+      std::vector<double> bw(d);
+      for (double& b : bw) b = rng.UniformDouble(0.01, 0.3);
+      auto kde = KernelDensityEstimator::Create(rows, bw);
+      ASSERT_TRUE(kde.ok());
+
+      FlatPoints removed(d), added(d);
+      const size_t k_out = rng.UniformUint64(n);  // keep at least one row
+      for (size_t i = 0; i < k_out; ++i) {
+        const size_t victim = rng.UniformUint64(rows.size());
+        removed.Append(rows[victim]);
+        rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+      const size_t k_in = rng.UniformUint64(8);
+      for (size_t i = 0; i < k_in; ++i) {
+        rows.push_back(draw(d));
+        added.Append(rows.back());
+      }
+      for (double& b : bw) b = rng.UniformDouble(0.01, 0.3);
+      auto merged = std::move(*kde).Merge(&removed, &added, bw);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      auto fresh = KernelDensityEstimator::Create(rows, bw);
+      ASSERT_TRUE(fresh.ok());
+      ASSERT_EQ(Bits(merged->sample()), Bits(fresh->sample()))
+          << "d " << d << " trial " << trial;
+      EXPECT_EQ(merged->primary_axis(), fresh->primary_axis());
+      EXPECT_EQ(merged->sample_size(), rows.size());
+    }
+  }
+}
+
+TEST(KdeTest, MergeRejectsRowsNotInTheSample) {
+  const auto base = [] {
+    return *KernelDensityEstimator::Create({{0.2, 0.3}, {0.6, 0.1}},
+                                           {0.1, 0.1});
+  };
+  FlatPoints absent = FlatPoints::FromPoints({{0.6, 0.2}});
+  FlatPoints none(2);
+  EXPECT_FALSE(base().Merge(&absent, &none, {0.1, 0.1}).ok());
+  // Past the last row, and more rows than the sample holds.
+  FlatPoints beyond = FlatPoints::FromPoints({{0.9, 0.9}});
+  EXPECT_FALSE(base().Merge(&beyond, &none, {0.1, 0.1}).ok());
+  FlatPoints twice = FlatPoints::FromPoints({{0.2, 0.3}, {0.2, 0.3}});
+  EXPECT_FALSE(base().Merge(&twice, &none, {0.1, 0.1}).ok());
+  // Emptying the sample, a stride mismatch and a non-finite row.
+  FlatPoints all = FlatPoints::FromPoints({{0.2, 0.3}, {0.6, 0.1}});
+  EXPECT_FALSE(base().Merge(&all, &none, {0.1, 0.1}).ok());
+  FlatPoints wide = FlatPoints::FromPoints({{0.2, 0.3, 0.4}});
+  EXPECT_FALSE(base().Merge(&none, &wide, {0.1, 0.1}).ok());
+  FlatPoints nan = FlatPoints::FromPoints({{0.2, std::nan("")}});
+  EXPECT_FALSE(base().Merge(&none, &nan, {0.1, 0.1}).ok());
+  // A row that is there merges fine.
+  FlatPoints present = FlatPoints::FromPoints({{0.6, 0.1}});
+  auto merged = base().Merge(&present, &none, {0.1, 0.1});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->sample_size(), 1u);
 }
 
 TEST(KdeTest, CandidateRowsCoverExactlyTheSupportWindow) {

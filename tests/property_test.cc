@@ -2,12 +2,24 @@
 // invariants every estimator implementation must satisfy, checked across
 // randomized instances and parameter sweeps.
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force_d.h"
+#include "core/density_model.h"
+#include "core/mgdd.h"
+#include "core/snapshot.h"
 #include "data/synthetic.h"
+#include "net/network.h"
+#include "net/node.h"
+#include "net/protocol.h"
+#include "obs/metrics.h"
+#include "stats/bandwidth.h"
 #include "stats/divergence.h"
 #include "stats/empirical.h"
 #include "stats/histogram.h"
@@ -413,6 +425,237 @@ TEST_P(KdePruningBitIdentityTest, PrunedPathsMatchFullSweepBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, KdePruningBitIdentityTest,
+                         ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------
+// Merge rebuilds (DESIGN.md §13): an estimator rebuilt by merging only the
+// changed rows into its predecessor equals a fresh Create() over the same
+// sample, bit for bit — rows, primary axis, bandwidths and every query —
+// across random streams with tied and duplicate rows, primary-axis flips,
+// change-record overflows, age-only rebuilds and restores.
+// ---------------------------------------------------------------------
+
+std::vector<uint64_t> BitsOf(const std::vector<double>& values) {
+  std::vector<uint64_t> out;
+  out.reserve(values.size());
+  for (const double v : values) out.push_back(std::bit_cast<uint64_t>(v));
+  return out;
+}
+
+::testing::AssertionResult SameEstimator(const KernelDensityEstimator& got,
+                                         const KernelDensityEstimator& want,
+                                         Rng* rng) {
+  if (BitsOf(got.sample().data()) != BitsOf(want.sample().data())) {
+    return ::testing::AssertionFailure() << "sample rows differ";
+  }
+  if (got.primary_axis() != want.primary_axis()) {
+    return ::testing::AssertionFailure()
+           << "primary axis " << got.primary_axis() << " vs "
+           << want.primary_axis();
+  }
+  if (BitsOf(got.bandwidths()) != BitsOf(want.bandwidths())) {
+    return ::testing::AssertionFailure() << "bandwidths differ";
+  }
+  const size_t d = got.dimensions();
+  Point lo(d), hi(d), p(d);
+  for (size_t i = 0; i < d; ++i) {
+    const double c = rng->UniformDouble();
+    const double r = rng->UniformDouble(0.01, 0.2);
+    lo[i] = c - r;
+    hi[i] = c + r;
+    p[i] = rng->UniformDouble();
+  }
+  if (BitsOf({got.BoxProbability(lo, hi), got.Pdf(p)}) !=
+      BitsOf({want.BoxProbability(lo, hi), want.Pdf(p)})) {
+    return ::testing::AssertionFailure() << "box mass or pdf differs";
+  }
+  constexpr double kSide = 0.125;
+  if (got.HasCellGrid(kSide) &&
+      BitsOf(got.CellMassGrid(kSide).mass) !=
+          BitsOf(want.CellMassGrid(kSide).mass)) {
+    return ::testing::AssertionFailure() << "cell-mass grid differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One coordinate: often a value from a small pool (duplicate rows, ties on
+// the primary axis, -0.0 beside +0.0), else a Gaussian around 0.5.
+double TiedOrGaussian(Rng* rng, double sd) {
+  static const double kPool[] = {0.0, -0.0, 0.25, 0.5, 1.0};
+  if (rng->Bernoulli(0.15)) return kPool[rng->UniformUint64(5)];
+  return Clamp(rng->Gaussian(0.5, sd), 0.0, 1.0);
+}
+
+struct DensityMergeCase {
+  size_t dimensions;
+  bool robust;
+};
+
+class DensityModelMergeTest
+    : public ::testing::TestWithParam<DensityMergeCase> {};
+
+TEST_P(DensityModelMergeTest, EveryRebuildEqualsAFreshCreate) {
+  const DensityMergeCase param = GetParam();
+  const size_t d = param.dimensions;
+  DensityModelConfig cfg;
+  cfg.dimensions = d;
+  cfg.window_size = 40;
+  cfg.sample_size = 16;
+  cfg.max_estimator_age = 1;  // a query after any observation rebuilds
+  cfg.robust_bandwidth = param.robust;
+  DensityModel model(cfg, Rng(51 + d));
+  Rng rng(61 + d + (param.robust ? 100 : 0));
+
+  bool built = false;
+  uint64_t built_version = 0;
+  size_t axis = 0, wide = 0;
+  int merges = 0, age_only = 0, overflows = 0, flips = 0;
+  for (int step = 0; step < 1200; ++step) {
+    // The wide axis rotates every 150 steps, so the primary axis flips.
+    if (step % 150 == 149) wide = (wide + 1) % d;
+    // Every 97th step is a long gap that overflows the change log.
+    const int feeds = step % 97 == 96 ? 60 : 1;
+    for (int f = 0; f < feeds; ++f) {
+      Point p(d);
+      for (size_t i = 0; i < d; ++i) {
+        p[i] = TiedOrGaussian(&rng, i == wide ? 0.3 : 0.02);
+      }
+      model.Observe(p);
+    }
+    if (step == 600) {
+      SnapshotWriter writer;
+      model.Serialize(&writer);
+      const std::vector<uint8_t> bytes = std::move(writer).Finish(1);
+      auto reader = SnapshotReader::Open(bytes, 1);
+      ASSERT_TRUE(reader.ok());
+      DensityModel restored(cfg, Rng(99));
+      ASSERT_TRUE(restored.Restore(&reader.value()));
+      model = std::move(restored);
+      built = false;
+    }
+    const bool merge =
+        built && model.sample().ChangesLoggedSince(built_version);
+    overflows += built && !merge;
+    age_only += merge && model.sample().version() == built_version;
+
+    const KernelDensityEstimator& got = model.Estimator();
+    auto want = KernelDensityEstimator::Create(
+        model.sample().Snapshot(),
+        ScottBandwidths(model.BandwidthSpreads(), cfg.sample_size));
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(SameEstimator(got, *want, &rng)) << "step " << step;
+    if (merge) {
+      ++merges;
+      flips += got.primary_axis() != axis;
+    }
+    axis = got.primary_axis();
+    built = true;
+    built_version = model.sample().version();
+  }
+  EXPECT_GT(merges, 1000);
+  EXPECT_GT(age_only, 100);
+  EXPECT_GE(overflows, 10);
+  if (d > 1) {
+    EXPECT_GT(flips, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dims, DensityModelMergeTest,
+    ::testing::Values(DensityMergeCase{1, false}, DensityMergeCase{2, false},
+                      DensityMergeCase{3, false}, DensityMergeCase{1, true},
+                      DensityMergeCase{2, true}, DensityMergeCase{3, true}));
+
+class QuietNode : public Node {
+ public:
+  void HandleMessage(const Message&) override {}
+  void OnReading(const Point&) override {}
+};
+
+class MgddReplicaMergeTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MgddReplicaMergeTest, EveryRebuildEqualsAFreshCreate) {
+  const size_t d = GetParam();
+  constexpr size_t kSlots = 24;
+  MgddOptions opts;
+  opts.model.dimensions = d;
+  opts.model.sample_size = kSlots;
+  Simulator sim;
+  auto owned = std::make_unique<MgddLeafNode>(opts, Rng(71), nullptr);
+  MgddLeafNode* leaf = owned.get();
+  const NodeId leaf_id = sim.AddNode(std::move(owned));
+  const NodeId root = sim.AddNode(std::make_unique<QuietNode>());
+  Rng rng(81 + d);
+  double now = 0.0;
+
+  // What the replica must hold: the latest value per slot, none until a
+  // slot's first update.
+  std::vector<std::optional<Point>> slots(kSlots);
+  std::vector<double> stddevs(d);
+  const auto push = [&](bool resync) {
+    GlobalModelUpdatePayload update;
+    for (double& s : stddevs) s = rng.UniformDouble(0.01, 0.3);
+    update.stddevs = stddevs;
+    // A resync names every slot; a plain update one to three, some of them
+    // out of range (ignored by the leaf).
+    const size_t count = resync ? kSlots : 1 + rng.UniformUint64(3);
+    for (size_t n = 0; n < count; ++n) {
+      const uint32_t slot = static_cast<uint32_t>(
+          resync ? n : rng.UniformUint64(kSlots + 2));
+      Point value(d);
+      for (double& x : value) x = TiedOrGaussian(&rng, 0.2);
+      if (slot < kSlots) slots[slot] = value;
+      update.updates.push_back(GlobalSlotUpdate{slot, std::move(value)});
+    }
+    sim.node(root).Send(
+        leaf_id,
+        std::make_shared<const GlobalModelUpdatePayload>(std::move(update)));
+    sim.RunUntil(now += 1.0);
+  };
+
+  obs::Counter* rebuilds =
+      obs::MetricsRegistry::Global().GetCounter("core.mgdd.replica_rebuilds");
+  const uint64_t rebuilds_before = rebuilds->value();
+  uint64_t queries = 0;
+  std::vector<uint8_t> checkpoint;
+  std::vector<std::optional<Point>> checkpoint_slots;
+  std::vector<double> checkpoint_stddevs;
+  for (int step = 0; step < 600; ++step) {
+    push(/*resync=*/step % 50 == 25);
+    // Several updates between rebuilds; now and then more slots than the
+    // change record holds.
+    const int more = rng.Bernoulli(0.2) ? 1 + static_cast<int>(
+                                              rng.UniformUint64(20))
+                                        : 0;
+    for (int i = 0; i < more; ++i) push(/*resync=*/false);
+    if (step == 280) {
+      checkpoint = leaf->SaveState();
+      checkpoint_slots = slots;
+      checkpoint_stddevs = stddevs;
+    }
+    if (step == 300) {  // an amnesia restart restoring its checkpoint
+      leaf->ResetVolatileState();
+      ASSERT_TRUE(leaf->RestoreState(checkpoint));
+      slots = checkpoint_slots;
+      stddevs = checkpoint_stddevs;
+    }
+    std::vector<Point> valid;
+    for (const auto& slot : slots) {
+      if (slot.has_value()) valid.push_back(*slot);
+    }
+    if (valid.empty()) continue;
+    const KernelDensityEstimator& got = leaf->GlobalEstimator();
+    ++queries;
+    auto want = KernelDensityEstimator::Create(
+        valid, ScottBandwidths(stddevs, valid.size()));
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(SameEstimator(got, *want, &rng)) << "step " << step;
+  }
+  // Every query followed an update, so every query rebuilt.
+  EXPECT_EQ(rebuilds->value() - rebuilds_before, queries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, MgddReplicaMergeTest,
                          ::testing::Values(1, 2, 3));
 
 }  // namespace
