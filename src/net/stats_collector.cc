@@ -43,29 +43,21 @@ const NetMetrics& Metrics() {
 
 void StatsCollector::RecordSend(const Message& msg) {
   const size_t size_numbers = msg.size_numbers();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++total_messages_;
-    total_numbers_ += size_numbers;
-    ++by_kind_[msg.payload.index()];
-  }
+  ++total_messages_;
+  total_numbers_ += size_numbers;
+  ++by_kind_[msg.payload.index()];
   // Mirror into the process-wide registry (cumulative across Reset()).
-  // The registry counters are lock-free; no need to hold mu_ here.
   Metrics().messages_total->Increment();
   Metrics().numbers_total->Increment(size_numbers);
   KindCounters()[msg.payload.index()]->Increment();
 }
 
 void StatsCollector::RecordDrop() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++dropped_;
-  }
+  ++dropped_;
   Metrics().messages_dropped->Increment();
 }
 
 uint64_t StatsCollector::MessagesOfKind(MessageKind kind) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < kMessageKinds.size(); ++i) {
     if (kMessageKinds[i].kind == kind) return by_kind_[i];
   }
@@ -75,7 +67,6 @@ uint64_t StatsCollector::MessagesOfKind(MessageKind kind) const {
 void StatsCollector::Reset() {
   // Only the per-instance tallies reset; the registry mirrors are
   // process-cumulative by design (see header).
-  const std::lock_guard<std::mutex> lock(mu_);
   total_messages_ = 0;
   total_numbers_ = 0;
   dropped_ = 0;

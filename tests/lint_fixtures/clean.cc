@@ -1,14 +1,11 @@
 // sensord_lint fixture: NO rule may fire on this file. It exercises the
 // idioms the rules must leave alone. Not compiled into any target.
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "util/rng.h"
-#include "util/thread_annotations.h"
 
 namespace sensord_lint_fixture {
 
@@ -36,18 +33,13 @@ inline std::vector<Row> Export(const std::map<uint64_t, double>& table) {
   return out;
 }
 
-// Fully annotated mutex-owning class: clean.
-class AnnotatedCounter {
- public:
-  void Add(uint64_t d) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    total_ += d;
-  }
-
- private:
-  std::mutex mu_;
-  uint64_t total_ GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> peeks_{0};
+// Names that merely contain a banned concurrency token, and the tokens
+// themselves inside comments and strings: clean. A thread, a future reading
+// and an async report are fine to talk about.
+struct RunOptions {
+  int threads = 1;
+  bool async_reports = false;
+  const char* label = "thread-free";
 };
 
 }  // namespace sensord_lint_fixture

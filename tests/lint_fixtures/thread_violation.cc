@@ -1,35 +1,27 @@
-// sensord_lint fixture: the thread-annotation rule must fire EXACTLY ONCE
-// (the unannotated `pending` field below). Not compiled into any target.
-#include <atomic>
-#include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "util/thread_annotations.h"
+// sensord_lint fixture: the single-thread rule must fire EXACTLY ONCE per
+// banned name below, 11 in all. Not compiled into any target, so the std
+// names appear without their headers (an #include <mutex> would be a
+// second 'mutex' hit).
 
 namespace sensord_lint_fixture {
 
-class GuardedQueue {
- public:
-  void Push(uint64_t v) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    items_.push_back(v);
-    pending_ = items_.size();
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<uint64_t> items_ GUARDED_BY(mu_);  // annotated: clean
-  uint64_t pending_ = 0;  // VIOLATION: guarded in practice, unannotated
-  std::atomic<uint64_t> pushes_{0};  // atomic: exempt by policy
-  const std::string name_ = "queue";  // const: exempt by policy
+struct SharedState {
+  std::mutex mu;                        // VIOLATION: mutex
+  std::shared_mutex readers;            // VIOLATION: shared_mutex
+  std::recursive_mutex reentrant;       // VIOLATION: recursive_mutex
+  std::atomic<int> hits{0};             // VIOLATION: atomic
+  std::condition_variable ready;        // VIOLATION: condition_variable
+  std::promise<int> result;             // VIOLATION: promise
 };
 
-// No mutex member: nothing to annotate, rule must stay silent.
-struct PlainAggregate {
-  uint64_t count = 0;
-  double sum = 0.0;
-};
+inline int Spawn() {
+  std::thread worker([] {});            // VIOLATION: thread
+  std::jthread joined([] {});           // VIOLATION: jthread
+  std::this_thread::yield();            // VIOLATION: this_thread
+  std::future<int> answer =             // VIOLATION: future
+      std::async([] { return 42; });    // VIOLATION: async
+  worker.join();
+  return answer.get();
+}
 
 }  // namespace sensord_lint_fixture

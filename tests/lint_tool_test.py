@@ -80,33 +80,40 @@ class DeterminismUnorderedRule(unittest.TestCase):
         self.assertEqual(count_rule(out, "determinism-clock"), 0, out)
 
 
-class ThreadAnnotationRule(unittest.TestCase):
-    def test_fires_exactly_once_on_fixture(self):
+class SingleThreadRule(unittest.TestCase):
+    BANNED = ("thread", "jthread", "this_thread", "async", "mutex",
+              "shared_mutex", "recursive_mutex", "atomic",
+              "condition_variable", "future", "promise")
+
+    def test_fires_once_per_banned_name_on_fixture(self):
         code, out = run_lint("--rules", "thread", "--scan",
                              os.path.join(FIXTURES, "thread_violation.cc"))
         self.assertEqual(code, 1, out)
-        self.assertEqual(count_rule(out, "thread-annotation"), 1, out)
-        self.assertIn("pending_", out)
+        self.assertEqual(count_rule(out, "single-thread"), len(self.BANNED),
+                         out)
+        for name in self.BANNED:
+            self.assertEqual(out.count("'%s'" % name), 1, name)
 
-    def test_flags_unannotated_field_added_to_metrics_header(self):
-        # The acceptance scenario: a guarded field lands in
-        # src/obs/metrics.h without GUARDED_BY. Patch a copy.
+    def test_flags_mutex_added_to_core(self):
+        # The acceptance scenario: a patch adds a lock to src/core/.
+        # Simulated in a scratch file under a scratch root.
         with tempfile.TemporaryDirectory() as tmp:
-            obs = os.path.join(tmp, "src", "obs")
-            os.makedirs(obs)
-            original = os.path.join(REPO_ROOT, "src", "obs", "metrics.h")
-            with open(original) as f:
-                text = f.read()
-            marker = "mutable std::mutex mu_;"
-            self.assertIn(marker, text)
-            text = text.replace(
-                marker, marker + "\n  int unguarded_scratch_;")
-            with open(os.path.join(obs, "metrics.h"), "w") as f:
-                f.write(text)
+            core = os.path.join(tmp, "src", "core")
+            os.makedirs(core)
+            with open(os.path.join(core, "patched.cc"), "w") as f:
+                f.write("#include <mutex>\n"
+                        "std::mutex g_model_mu;\n")
             code, out = run_lint("--root", tmp, "--rules", "thread")
             self.assertEqual(code, 1, out)
-            self.assertEqual(count_rule(out, "thread-annotation"), 1, out)
-            self.assertIn("unguarded_scratch_", out)
+            self.assertIn("src/core/patched.cc:1: error: [single-thread] "
+                          "'mutex'", out)
+            self.assertIn("src/core/patched.cc:2: error: [single-thread] "
+                          "'mutex'", out)
+            self.assertEqual(count_rule(out, "single-thread"), 2, out)
+
+    def test_repo_is_single_threaded(self):
+        code, out = run_lint("--rules", "thread")
+        self.assertEqual(code, 0, out)
 
 
 class CleanFixture(unittest.TestCase):

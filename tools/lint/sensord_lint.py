@@ -14,10 +14,11 @@ off-the-shelf tool can express:
                         message Send/Transmit, exporter/file output).
                         Hash-iteration order is unspecified and would leak
                         into emitted events and golden files.
-  thread-annotation     Any class or struct owning a std::mutex must annotate
-                        every other non-atomic, non-const field with
-                        GUARDED_BY(...) (src/util/thread_annotations.h), so
-                        clang's -Wthread-safety analysis has a complete model.
+  single-thread         No thread, lock, atomic or future anywhere in src/.
+                        The simulator runs every node on one event loop
+                        (DESIGN.md §12), so the library carries no
+                        synchronisation; a second thread would race all of
+                        it unguarded.
   test-pairing          Every src/**/*.cc translation unit has a matching
                         tests/<name>_test.cc, modulo the explicit map in
                         tools/lint/test_pairing.map.
@@ -49,13 +50,13 @@ import tempfile
 
 RULE_DETERMINISM_CLOCK = "determinism-clock"
 RULE_DETERMINISM_UNORDERED = "determinism-unordered"
-RULE_THREAD_ANNOTATION = "thread-annotation"
+RULE_SINGLE_THREAD = "single-thread"
 RULE_TEST_PAIRING = "test-pairing"
 RULE_HEADER_HYGIENE = "header-hygiene"
 
 RULE_GROUPS = {
     "determinism": (RULE_DETERMINISM_CLOCK, RULE_DETERMINISM_UNORDERED),
-    "thread": (RULE_THREAD_ANNOTATION,),
+    "thread": (RULE_SINGLE_THREAD,),
     "pairing": (RULE_TEST_PAIRING,),
     "headers": (RULE_HEADER_HYGIENE,),
 }
@@ -94,6 +95,15 @@ BANNED_ALWAYS = {
     "drand48": "global C RNG state; use sensord::Rng",
     "lrand48": "global C RNG state; use sensord::Rng",
     "mrand48": "global C RNG state; use sensord::Rng",
+}
+# Concurrency primitives. The library is single-threaded by contract, so any
+# appearance (token-exact, comments and strings stripped) is a violation.
+BANNED_CONCURRENCY = {
+    name: "src/ is single-threaded (DESIGN.md §12); a second thread would "
+          "race the unsynchronised obs/ sinks and simulator state"
+    for name in ("thread", "jthread", "this_thread", "async", "mutex",
+                 "shared_mutex", "recursive_mutex", "atomic",
+                 "condition_variable", "future", "promise")
 }
 # Flagged only in call position (followed by '(') and not as a member access
 # (preceded by '.' or '->'): too many legitimate identifiers share the name.
@@ -214,13 +224,6 @@ class SourceFile:
         return bisect.bisect_right(self.line_starts, offset)
 
 
-def _prev_nonspace(code, i):
-    i -= 1
-    while i >= 0 and code[i].isspace():
-        i -= 1
-    return code[i] if i >= 0 else ""
-
-
 def _prev_two(code, i):
     """The two non-space characters preceding offset i, as a string."""
     chars = []
@@ -238,17 +241,24 @@ def _next_nonspace(code, i):
     return code[i] if i < len(code) else ""
 
 
+def _banned_tokens(src, rule, banned):
+    """Violations for every identifier token of `src` that `banned` names."""
+    return [Violation(rule, src.relpath, src.line_of(m.start()), m.group(),
+                      "'%s': %s" % (m.group(), banned[m.group()]))
+            for m in IDENT_RE.finditer(src.code) if m.group() in banned]
+
+
+def rule_single_thread(src):
+    return _banned_tokens(src, RULE_SINGLE_THREAD, BANNED_CONCURRENCY)
+
+
 def rule_determinism_clock(src, allowlist):
     if src.relpath in allowlist:
         return []
-    out = []
+    out = _banned_tokens(src, RULE_DETERMINISM_CLOCK, BANNED_ALWAYS)
     for m in IDENT_RE.finditer(src.code):
         name = m.group()
-        if name in BANNED_ALWAYS:
-            out.append(Violation(
-                RULE_DETERMINISM_CLOCK, src.relpath, src.line_of(m.start()),
-                name, "'%s': %s" % (name, BANNED_ALWAYS[name])))
-        elif name in BANNED_CALLS:
+        if name in BANNED_CALLS:
             if _next_nonspace(src.code, m.end()) != "(":
                 continue
             prev2 = _prev_two(src.code, m.start())
@@ -344,155 +354,6 @@ def rule_determinism_unordered(src):
                 "iteration over unordered container '%s' reaches "
                 "deterministic sink '%s'; hash order is unspecified — "
                 "use an ordered container or sort first" % (looped, sink)))
-    return out
-
-
-_CLASS_RE = re.compile(r"\b(class|struct)\b")
-_SKIP_CHUNK_FIRST = {
-    "public", "private", "protected", "using", "typedef", "friend",
-    "static", "template", "enum", "explicit", "virtual", "operator",
-    "constexpr", "inline",
-}
-
-
-def _class_bodies(code):
-    """Yields (name, body_start, body_end) for each class/struct body."""
-    for m in _CLASS_RE.finditer(code):
-        prev = _prev_two(code, m.start())
-        if prev.endswith("enum") or prev.endswith("m"):  # 'enum class/struct'
-            # _prev_two only returns 2 chars; re-check with a wider window.
-            window = code[max(0, m.start() - 8):m.start()]
-            if re.search(r"\benum\s*$", window):
-                continue
-        i = m.end()
-        name = "<anonymous>"
-        ident = IDENT_RE.search(code, i)
-        # Walk to the first '{' or ';' — a ';' first means forward declaration.
-        brace = code.find("{", i)
-        semi = code.find(";", i)
-        if brace == -1 or (semi != -1 and semi < brace):
-            continue
-        if ident and ident.start() < brace:
-            name = ident.group()
-        # 'class Foo : public Bar<...> {' — the '{' found may belong to a
-        # template argument? No: template args use <>, so the first '{' after
-        # the class head is the body.
-        yield name, brace, _match_forward(code, brace, "{", "}")
-
-
-def _field_chunks(code, body_start, body_end):
-    """Top-level declaration chunks of a class body (method bodies skipped)."""
-    chunks = []
-    i = body_start + 1
-    depth = 0
-    start = i
-    while i < body_end - 1:
-        c = code[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                chunks.append((start, i + 1))
-                start = i + 1
-        elif c == ";" and depth == 0:
-            chunks.append((start, i))
-            start = i + 1
-        i += 1
-    chunks.append((start, body_end - 1))
-    return chunks
-
-
-def _chunk_is_function(chunk):
-    """True if the chunk has a parenthesis outside template args and outside
-    a GUARDED_BY-style annotation — i.e. it declares a function."""
-    angle = 0
-    i = 0
-    while i < len(chunk):
-        c = chunk[i]
-        if c == "<":
-            angle += 1
-        elif c == ">":
-            angle = max(0, angle - 1)
-        elif c == "(" and angle == 0:
-            return True
-        i += 1
-    return False
-
-
-_ANNOTATION_RE = re.compile(
-    r"\b(?:GUARDED_BY|PT_GUARDED_BY|ACQUIRED_BEFORE|ACQUIRED_AFTER)\s*\(")
-
-
-def _field_name(chunk):
-    cut = len(chunk)
-    for stop in "={[":
-        p = chunk.find(stop)
-        if p != -1:
-            cut = min(cut, p)
-    idents = IDENT_RE.findall(chunk[:cut])
-    return idents[-1] if idents else None
-
-
-def rule_thread_annotation(src):
-    code = src.code
-    if "mutex" not in code:
-        return []
-    out = []
-    for cls, body_start, body_end in _class_bodies(code):
-        fields = []  # (offset, chunk text with annotations removed, raw)
-        mutex_fields = []
-        for cstart, cend in _field_chunks(code, body_start, body_end):
-            chunk_text = code[cstart:cend]
-            raw = chunk_text.strip()
-            if not raw:
-                continue
-            cstart += len(chunk_text) - len(chunk_text.lstrip())
-            # An access label glued to the next declaration ('private:
-            # std::mutex mu_') is part of the same chunk: peel it off.
-            label = re.match(r"(?:(?:public|private|protected)\s*:\s*)+", raw)
-            if label is not None:
-                cstart += label.end()
-                raw = raw[label.end():]
-                if not raw:
-                    continue
-            first = IDENT_RE.match(raw)
-            if first is None or first.group() in _SKIP_CHUNK_FIRST:
-                continue
-            if "class" in raw.split() or "struct" in raw.split():
-                continue  # nested type: visited by _class_bodies itself
-            annotated = _ANNOTATION_RE.search(raw) is not None
-            stripped = _ANNOTATION_RE.sub("SENSORD_LINT_ANNOT(", raw)
-            # Remove the annotation's argument parens before fn detection.
-            stripped = re.sub(r"SENSORD_LINT_ANNOT\([^)]*\)", "", stripped)
-            if _chunk_is_function(stripped):
-                continue
-            name = _field_name(stripped)
-            if name is None:
-                continue
-            tokens = set(IDENT_RE.findall(stripped))
-            if "mutex" in tokens or "shared_mutex" in tokens or \
-               "recursive_mutex" in tokens:
-                mutex_fields.append(name)
-            else:
-                fields.append((cstart, name, annotated, stripped))
-        if not mutex_fields:
-            continue
-        for offset, name, annotated, stripped in fields:
-            if annotated:
-                continue
-            tokens = set(IDENT_RE.findall(stripped))
-            if "atomic" in tokens:
-                continue  # lock-free by design; reads race benignly
-            if stripped.lstrip().startswith("const "):
-                continue  # immutable after construction
-            out.append(Violation(
-                RULE_THREAD_ANNOTATION, src.relpath, src.line_of(offset),
-                "%s::%s" % (cls, name),
-                "field '%s' of mutex-owning %s '%s' lacks GUARDED_BY(...) "
-                "(see src/util/thread_annotations.h); annotate it or make "
-                "the lock-free design explicit with std::atomic" %
-                (name, "class/struct", cls)))
     return out
 
 
@@ -732,7 +593,7 @@ def main(argv=None):
 
     scan_rules = active & {RULE_DETERMINISM_CLOCK,
                            RULE_DETERMINISM_UNORDERED,
-                           RULE_THREAD_ANNOTATION}
+                           RULE_SINGLE_THREAD}
     sources = []
     if scan_rules:
         sources = gather_sources(root, args.scan, (".cc", ".h", ".cpp"))
@@ -742,8 +603,8 @@ def main(argv=None):
                 violations += rule_determinism_clock(src, allowlist)
             if RULE_DETERMINISM_UNORDERED in active:
                 violations += rule_determinism_unordered(src)
-            if RULE_THREAD_ANNOTATION in active:
-                violations += rule_thread_annotation(src)
+            if RULE_SINGLE_THREAD in active:
+                violations += rule_single_thread(src)
 
     if RULE_TEST_PAIRING in active:
         pairing_map = load_pairing_map(
